@@ -17,7 +17,6 @@ from .core import (
     kl_additivity_gap,
     normalize_uniform,
     standardize_gaussian,
-    whiten,
 )
 from .errors import (
     AllTiedError,
@@ -27,7 +26,6 @@ from .errors import (
     DomainError,
     EmptyManifestError,
     IgciError,
-    InvalidReferenceError,
     NoValidSpacingsError,
     NonPositiveTraceError,
     NotPositiveDefiniteError,
@@ -44,7 +42,6 @@ from .estimators import (
     EstimatorKind,
     IgciReport,
     igci_score,
-    reference_shift,
     slope_criterion,
     spacing_entropy,
 )

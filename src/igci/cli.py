@@ -16,28 +16,26 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .core import MultiSample, ReferenceFamily, kl_additivity_gap
-from .errors import DataError, IgciError, ParseError
+from .errors import DataError, IgciError
 from .estimators import EstimatorKind, igci_score
 from .io import (
     align_lag,
     evaluate_manifest,
     format_json_lines,
     format_tsv,
+    load_columns,
     load_manifest,
     load_pair,
-    load_table,
 )
 from .simulation import (
     InputDist,
     InputKind,
     NoiseKind,
     NoiseSpec,
-    _draw,
     run_grid,
     run_sine,
+    sample_input,
     substream,
     verify_noise_bound,
 )
@@ -185,13 +183,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_tracedir(args) -> int:
     x_cols = _parse_cols(args.x_cols, "--x-cols")
     y_cols = _parse_cols(args.y_cols, "--y-cols")
-    table = load_table(args.file)
-    ncols = table.shape[1]
-    for col in x_cols + y_cols:
-        if not 0 <= col < ncols:
-            raise ParseError(f"{args.file}: column {col} not present (rows have {ncols} columns)")
-    x = MultiSample(table[:, x_cols])
-    y = MultiSample(table[:, y_cols])
+    table = load_columns(args.file, x_cols + y_cols)
+    x = MultiSample(table[:, : len(x_cols)])
+    y = MultiSample(table[:, len(x_cols) :])
     result = infer_linear_direction(x, y, refit_reverse=args.refit_reverse)
     record = {
         "record": "tracedir",
@@ -207,13 +201,7 @@ def _cmd_tracedir(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    table = load_table(args.file)
-    ncols = table.shape[1]
-    for col in (args.x_col, args.y_col):
-        if not 0 <= col < ncols:
-            raise ParseError(f"{args.file}: column {col} not present (rows have {ncols} columns)")
-    a = table[:, args.x_col]
-    b = table[:, args.y_col]
+    a, b = load_columns(args.file, (args.x_col, args.y_col)).T
     if args.max_lag is not None and args.max_lag < 0:
         raise _UsageError(f"--max-lag must be nonnegative, got {args.max_lag}")
     max_lag = args.max_lag if args.max_lag is not None else max(1, min(a.size, b.size) // 10)
@@ -267,7 +255,7 @@ def _cmd_verify(args) -> int:
         )
     if args.check in ("noise-bound", "all"):
         for idx, (label, dist) in enumerate(_VERIFY_INPUTS):
-            x = _draw(dist, args.m, substream(seed, 1 + idx), truncate=False)
+            x = sample_input(dist, args.m, substream(seed, 1 + idx), truncate=False)
             for check in verify_noise_bound(x, rng_seed=seed + 7919 * (idx + 1)):
                 failed |= not check.holds
                 records.append(

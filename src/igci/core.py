@@ -4,10 +4,10 @@ Conventions used across the package:
 
 * variance is always the population form (divisor m, not m - 1), which only
   has to be applied consistently for direction scores to be meaningful;
-* samples are immutable after construction, arrays are stored read-only;
+* samples are immutable after construction, arrays are stored as read-only
+  views, so the caller's own arrays stay writeable;
 * preprocessing maps each variable separately onto a reference family
-  (unit-interval uniform, or standard Gaussian, or isotropic Gaussian for
-  multivariate work).
+  (unit-interval uniform or standard Gaussian).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "MultiSample",
     "normalize_uniform",
     "standardize_gaussian",
-    "whiten",
     "digamma",
     "discrete_kl",
     "kl_additivity_gap",
@@ -62,7 +61,6 @@ class ReferenceFamily(Enum):
 
     UNIFORM_UNIT = "uniform"
     GAUSSIAN = "gaussian"
-    ISOTROPIC_GAUSSIAN = "isotropic"
 
 
 def _as_finite_vector(values, name: str) -> np.ndarray:
@@ -72,6 +70,13 @@ def _as_finite_vector(values, name: str) -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise DataError(f"{name} contains non-finite values")
     return arr
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Read-only view of arr; nothing is copied and arr itself stays writeable."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -88,10 +93,8 @@ class SamplePair:
             raise DimensionMismatchError(f"x has {x.size} rows, y has {y.size}")
         if x.size < 3:
             raise TooFewRowsError(f"need at least 3 paired rows, got {x.size}")
-        x.flags.writeable = False
-        y.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x", _frozen(x))
+        object.__setattr__(self, "y", _frozen(y))
 
     @property
     def m(self) -> int:
@@ -118,8 +121,7 @@ class MultiSample:
             raise SingularCovarianceError(
                 f"{arr.shape[0]} observations in {arr.shape[1]} dimensions cannot have full-rank covariance"
             )
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _frozen(arr))
 
     @property
     def m(self) -> int:
@@ -140,9 +142,12 @@ def normalize_uniform(values) -> np.ndarray:
         raise DataError("cannot normalize an empty sample")
     lo = float(arr.min())
     hi = float(arr.max())
+    span = hi - lo
+    if not math.isfinite(span):
+        raise DataError(f"value range {lo!r} to {hi!r} overflows float64")
     if hi == lo:
         raise ConstantInputError("all values identical, range normalization undefined")
-    return (arr - lo) / (hi - lo)
+    return (arr - lo) / span
 
 
 def standardize_gaussian(values) -> tuple[np.ndarray, float, float]:
@@ -154,32 +159,16 @@ def standardize_gaussian(values) -> tuple[np.ndarray, float, float]:
     arr = _as_finite_vector(values, "values")
     if arr.size == 0:
         raise DataError("cannot standardize an empty sample")
+    # The variance sums m squared deviations, each at most twice the largest
+    # magnitude; refuse data where that sum would overflow.
+    peak = max(-float(arr.min()), float(arr.max()))
+    if not math.isfinite(4.0 * peak * peak * arr.size):
+        raise DataError(f"values up to {peak!r} in magnitude overflow the float64 variance")
     mean = float(arr.mean())
     std = float(arr.std())
     if std == 0.0:
         raise ConstantInputError("zero variance, standardization undefined")
     return (arr - mean) / std, mean, std
-
-
-# Relative eigenvalue threshold below which a covariance counts as singular.
-_WHITEN_RTOL = 1e-12
-
-
-def whiten(sample: MultiSample) -> tuple[np.ndarray, np.ndarray]:
-    """Center multivariate data and map its covariance to the identity.
-
-    Returns (whitened, transform) with whitened = (data - mean) @ transform.
-    The transform is the symmetric inverse square root of the population
-    covariance, so the result does not depend on eigenvector ordering or
-    sign choices and no arbitrary rotation is introduced.
-    """
-    centered = sample.data - sample.data.mean(axis=0)
-    cov = centered.T @ centered / sample.m
-    evals, evecs = np.linalg.eigh(cov)
-    if evals[-1] <= 0.0 or evals[0] <= _WHITEN_RTOL * evals[-1]:
-        raise SingularCovarianceError("covariance is singular or too ill-conditioned to whiten")
-    transform = (evecs / np.sqrt(evals)) @ evecs.T
-    return centered @ transform, transform
 
 
 # Switch-over point for the asymptotic series; below it the recurrence

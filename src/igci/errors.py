@@ -18,7 +18,6 @@ __all__ = [
     "DimensionMismatchError",
     "SingularCovarianceError",
     "SingularFitError",
-    "InvalidReferenceError",
     "ParseError",
     "TooFewRowsError",
     "EmptyManifestError",
@@ -67,10 +66,6 @@ class SingularCovarianceError(DataError):
 
 class SingularFitError(DataError):
     """A least-squares fit produced a rank-deficient or singular map."""
-
-
-class InvalidReferenceError(DataError, ValueError):
-    """The chosen reference family does not apply to this operation."""
 
 
 class ParseError(DataError):

@@ -37,7 +37,6 @@ from .core import (
 from .errors import (
     AllTiedError,
     DimensionMismatchError,
-    InvalidReferenceError,
     NoValidSpacingsError,
     TooFewRowsError,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "spacing_entropy",
     "slope_criterion",
     "igci_score",
-    "reference_shift",
 ]
 
 # Scores with absolute value at or below this are reported as undecided.
@@ -134,13 +132,10 @@ def igci_score(
 ) -> IgciReport:
     """Infer the causal direction of a scalar pair.
 
-    Both variables are preprocessed independently onto the reference family
-    (uniform and Gaussian are supported here; the isotropic family belongs
-    to the multivariate linear path). The report carries the signed score
-    both ways round, with c_yx = -c_xy by construction.
+    Both variables are preprocessed independently onto the reference family.
+    The report carries the signed score both ways round, with c_yx = -c_xy
+    by construction.
     """
-    if reference not in (ReferenceFamily.UNIFORM_UNIT, ReferenceFamily.GAUSSIAN):
-        raise InvalidReferenceError(f"reference {reference} is not usable for scalar pairs")
     x = _preprocess(pair.x, reference)
     y = _preprocess(pair.y, reference)
     if estimator is EstimatorKind.ENTROPY_SPACING:
@@ -169,21 +164,3 @@ def igci_score(
         reference=reference,
         m_used=m_used,
     )
-
-
-def reference_shift(pair: SamplePair) -> float:
-    """Exact shift between the slope scores under the two reference choices.
-
-    Returns (score with Gaussian preprocessing) - (score with uniform
-    preprocessing), which reduces to log(std_x / range_x) - log(std_y / range_y)
-    by affine equivariance of the slope statistic. Population std throughout.
-    """
-    range_x = float(pair.x.max() - pair.x.min())
-    range_y = float(pair.y.max() - pair.y.min())
-    _, _, std_x = standardize_gaussian(pair.x)
-    _, _, std_y = standardize_gaussian(pair.y)
-    if range_x == 0.0 or range_y == 0.0:
-        # standardize_gaussian already rejects constants; this is unreachable
-        # unless the ranges underflow while the variance does not.
-        raise AllTiedError("zero range")
-    return float(np.log(std_x / range_x) - np.log(std_y / range_y))

@@ -35,6 +35,7 @@ __all__ = [
     "EntryReport",
     "ManifestSummary",
     "load_table",
+    "load_columns",
     "load_pair",
     "write_pair",
     "align_lag",
@@ -77,6 +78,19 @@ def load_table(path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
+def load_columns(path, cols: Sequence[int]) -> np.ndarray:
+    """Read a table and return the chosen columns, in the order given.
+
+    Raises ParseError naming the first column the rows do not have.
+    """
+    table = load_table(path)
+    ncols = table.shape[1]
+    for col in cols:
+        if not 0 <= col < ncols:
+            raise ParseError(f"{path}: column {col} not present (rows have {ncols} columns)")
+    return table[:, list(cols)]
+
+
 def load_pair(path, x_col: int = 0, y_col: int = 1) -> SamplePair:
     """Load two columns as a SamplePair.
 
@@ -84,13 +98,7 @@ def load_pair(path, x_col: int = 0, y_col: int = 1) -> SamplePair:
     single warning reports how many. Raises ParseError when a column is
     missing and TooFewRowsError when fewer than 3 usable rows remain.
     """
-    table = load_table(path)
-    ncols = table.shape[1]
-    for col in (x_col, y_col):
-        if not 0 <= col < ncols:
-            raise ParseError(f"{path}: column {col} not present (rows have {ncols} columns)")
-    x = table[:, x_col]
-    y = table[:, y_col]
+    x, y = load_columns(path, (x_col, y_col)).T
     keep = np.isfinite(x) & np.isfinite(y)
     dropped = int(keep.size - np.count_nonzero(keep))
     if dropped:

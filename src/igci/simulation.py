@@ -112,7 +112,10 @@ def _propose(dist: InputDist, rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.normal(_GAUSS_MEANS[dist.kind], dist.sigma, n)
 
 
-def _draw(dist: InputDist, m: int, rng: np.random.Generator, truncate: bool) -> np.ndarray:
+def sample_input(dist: InputDist, m: int, rng: np.random.Generator, truncate: bool = True) -> np.ndarray:
+    """Draw m values from rng, rejection-truncated to [0, 1] unless truncate=False."""
+    if m < 1:
+        raise TooFewRowsError(f"m must be at least 1, got {m}")
     if not truncate:
         return _propose(dist, rng, m)
     out = np.empty(m, dtype=np.float64)
@@ -133,13 +136,6 @@ def _draw(dist: InputDist, m: int, rng: np.random.Generator, truncate: bool) -> 
         out[filled : filled + take] = accepted[:take]
         filled += take
     return out
-
-
-def sample_input(dist: InputDist, m: int, rng_seed: int, truncate: bool = True) -> np.ndarray:
-    """Draw m values, rejection-truncated to [0, 1] unless truncate=False."""
-    if m < 1:
-        raise TooFewRowsError(f"m must be at least 1, got {m}")
-    return _draw(dist, m, substream(rng_seed), truncate)
 
 
 class MechanismKind(Enum):
@@ -257,7 +253,7 @@ class NoiseSpec:
             raise ValueError("lam == 0 exactly when kind is NONE")
 
 
-def _draw_noise(noise: NoiseSpec, m: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_noise(noise: NoiseSpec, m: int, rng: np.random.Generator) -> np.ndarray:
     if noise.kind is NoiseKind.UNIFORM_UNIT:
         return rng.random(m)
     if noise.kind is NoiseKind.STD_NORMAL:
@@ -280,6 +276,17 @@ class CellTally:
         # Undecided outcomes count against accuracy; they are also
         # reported on their own so the choice is visible.
         return 100.0 * self.correct / self.total if self.total else float("nan")
+
+    def to_record(self, **labels) -> dict:
+        """Output record for this cell: the labels, then the tally."""
+        return {
+            "record": "cell",
+            **labels,
+            "correct": self.correct,
+            "wrong": self.wrong,
+            "undecided": self.undecided,
+            "accuracy_pct": self.accuracy_pct,
+        }
 
 
 GRID_INPUTS: tuple = (
@@ -332,18 +339,7 @@ class SimGridResult:
                 "seed": self.seed,
             }
         ]
-        for (row, col), tally in self.cells.items():
-            records.append(
-                {
-                    "record": "cell",
-                    "row": row,
-                    "col": col,
-                    "correct": tally.correct,
-                    "wrong": tally.wrong,
-                    "undecided": tally.undecided,
-                    "accuracy_pct": tally.accuracy_pct,
-                }
-            )
+        records.extend(tally.to_record(row=row, col=col) for (row, col), tally in self.cells.items())
         return records
 
 
@@ -400,10 +396,10 @@ def run_grid(
             for rep in range(repetitions):
                 rng = substream(seed, i, j, rep)
                 spec = _mechanism_for_rep(col_kind, rng)
-                x = _draw(dist, m, rng, truncate=True)
+                x = sample_input(dist, m, rng)
                 y = apply_mechanism(spec, x)
                 if noise.kind is not NoiseKind.NONE:
-                    y = y + noise.lam * _draw_noise(noise, m, rng)
+                    y = y + noise.lam * _sample_noise(noise, m, rng)
                 _score_tally(x, y, tally, estimator, reference)
             cells[(row_label, col_label)] = tally
     return SimGridResult(
@@ -445,17 +441,7 @@ class SineResult:
                 "seed": self.seed,
             }
         ]
-        for label, tally in self.entries:
-            records.append(
-                {
-                    "record": "cell",
-                    "input": label,
-                    "correct": tally.correct,
-                    "wrong": tally.wrong,
-                    "undecided": tally.undecided,
-                    "accuracy_pct": tally.accuracy_pct,
-                }
-            )
+        records.extend(tally.to_record(input=label) for label, tally in self.entries)
         return records
 
 
@@ -488,7 +474,7 @@ def run_sine(
         tally = CellTally()
         for rep in range(repetitions):
             rng = substream(seed, i, rep)
-            x = _draw(dist, m, rng, truncate=False)
+            x = sample_input(dist, m, rng, truncate=False)
             y = x + epsilon * np.sin(omega * x)
             _score_tally(x, y, tally, estimator, reference)
         entries.append((label, tally))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Direction, MultiSample
+from .core import Direction, MultiSample, _frozen
 from .errors import (
     DimensionMismatchError,
     NonPositiveTraceError,
@@ -119,11 +119,9 @@ class LinearModel:
             raise DimensionMismatchError("a, sigma_x, sigma_y must share one dimension")
         if np.linalg.cond(a) > _MAX_CONDITION:
             raise SingularFitError("fitted map is numerically singular")
-        for arr in (a, sx, sy):
-            arr.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "sigma_x", sx)
-        object.__setattr__(self, "sigma_y", sy)
+        object.__setattr__(self, "a", _frozen(a))
+        object.__setattr__(self, "sigma_x", _frozen(sx))
+        object.__setattr__(self, "sigma_y", _frozen(sy))
 
     @property
     def d(self) -> int:

@@ -34,7 +34,7 @@ from igci import (
     verify_noise_bound,
     write_pair,
 )
-from igci.simulation import _draw
+from igci.simulation import sample_input
 
 GRID_SEED = 20260819
 GAUSSIAN_ENTROPY = 0.5 * math.log(2.0 * math.pi * math.e)
@@ -232,7 +232,7 @@ def test_criterion_10_noise_entropy_bound():
     all_hold = True
     gaussian_tight = True
     for i, (label, dist) in enumerate(cases):
-        x = _draw(dist, 100_000, substream(99, i), truncate=False)
+        x = sample_input(dist, 100_000, substream(99, i), truncate=False)
         for check in verify_noise_bound(x, sigma_levels=(0.01, 0.1, 1.0), rng_seed=1000 + i):
             all_hold &= check.holds
             if label == "gaussian":
@@ -265,7 +265,7 @@ def test_criterion_11_synthetic_manifest(tmp_path):
         rng = substream(777, idx)
         kind = mechanisms[idx % 5]
         spec = MechanismSpec.random_cdf_mix(rng) if kind is MechanismKind.CDF_MIX else MechanismSpec(kind)
-        x = _draw(inputs[idx % 3], 500, rng, truncate=True)
+        x = sample_input(inputs[idx % 3], 500, rng, truncate=True)
         y = apply_mechanism(spec, x)
         name = f"pair{idx:02d}.tsv"
         if idx % 10 < 3:  # 15 of 50 stored with columns flipped

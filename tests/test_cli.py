@@ -80,6 +80,14 @@ def test_infer_constant_column_is_a_data_error(capsys, tmp_path):
     assert code == EXIT_DATA and "data error" in err
 
 
+def test_infer_extreme_range_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "huge.tsv"
+    path.write_text("-1e308 1\n0 2\n1e308 3\n5 4\n")
+    code, out, err = run_cli(capsys, "infer", str(path))
+    assert code == EXIT_DATA and out == ""
+    assert "data error" in err and "overflow" in err
+
+
 # ----------------------------------------------------------------------- usage
 
 def test_usage_errors_exit_1(capsys):

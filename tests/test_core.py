@@ -12,6 +12,7 @@ from igci import (
     Direction,
     DomainError,
     ConstantInputError,
+    LinearModel,
     MultiSample,
     SamplePair,
     SingularCovarianceError,
@@ -22,7 +23,6 @@ from igci import (
     kl_additivity_gap,
     normalize_uniform,
     standardize_gaussian,
-    whiten,
 )
 from igci.simulation import substream
 
@@ -64,6 +64,8 @@ def test_normalize_uniform_basic():
     out = normalize_uniform([3.0, 5.0, 9.0])
     assert out.tolist() == [0.0, 1.0 / 3.0, 1.0]
     assert out.min() == 0.0 and out.max() == 1.0
+    # a range just inside float64 still normalizes
+    assert normalize_uniform([-1e307, 0.0, 1e307]).tolist() == [0.0, 0.5, 1.0]
 
 
 def test_normalize_uniform_idempotent_exact():
@@ -121,48 +123,6 @@ def test_standardize_moments_and_reconstruction():
 def test_standardize_constant():
     with pytest.raises(ConstantInputError):
         standardize_gaussian([4.0] * 10)
-
-
-# ----------------------------------------------------------------- whitening
-
-def test_whiten_diagonal_case():
-    # population covariance of these five points is exactly diag(4, 9) * 4/5;
-    # with the mean-zero square below it is exactly diag(4, 9).
-    data = np.array([[2.0, 3.0], [-2.0, 3.0], [2.0, -3.0], [-2.0, -3.0]])
-    data = np.vstack([data, data, [[0.0, 0.0], [0.0, 0.0]]])  # m=10 > d, cov diag(3.2, 7.2)
-    sample = MultiSample(data)
-    white, transform = whiten(sample)
-    cov = white.T @ white / sample.m
-    assert np.allclose(cov, np.eye(2), atol=1e-12)
-    # symmetric inverse square root of a diagonal matrix stays diagonal
-    assert abs(transform[0, 1]) <= 1e-12 and abs(transform[1, 0]) <= 1e-12
-    assert transform[0, 0] == pytest.approx(1.0 / math.sqrt(3.2), abs=1e-12)
-    assert transform[1, 1] == pytest.approx(1.0 / math.sqrt(7.2), abs=1e-12)
-
-
-def test_whiten_exact_diag_4_9():
-    # four sign-flipped corners: population covariance exactly diag(4, 9)
-    corners = np.array([[2.0, 3.0], [-2.0, 3.0], [2.0, -3.0], [-2.0, -3.0]])
-    white, transform = whiten(MultiSample(corners))
-    assert np.allclose(transform, np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
-    assert np.allclose(white.T @ white / 4.0, np.eye(2), atol=1e-12)
-
-
-def test_whiten_random_covariance_identity():
-    rng = substream(13)
-    data = rng.standard_normal((400, 5)) @ rng.standard_normal((5, 5)) + rng.standard_normal(5)
-    white, transform = whiten(MultiSample(data))
-    cov = white.T @ white / 400.0
-    assert np.allclose(cov, np.eye(5), atol=1e-8)
-    assert np.allclose(white.mean(axis=0), 0.0, atol=1e-10)
-
-
-def test_whiten_rank_deficient():
-    rng = substream(14)
-    col = rng.standard_normal(30)
-    data = np.column_stack([col, 2.0 * col])
-    with pytest.raises(SingularCovarianceError):
-        whiten(MultiSample(data))
 
 
 def test_multisample_needs_more_rows_than_dims():
@@ -244,6 +204,28 @@ def test_sample_pair_is_frozen():
         pair.x[0] = 10.0
     swapped = pair.swapped()
     assert np.array_equal(swapped.x, pair.y)
+
+
+def test_construction_leaves_callers_arrays_writeable():
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    y = x ** 2
+    data = np.arange(12.0).reshape(6, 2) ** 1.5
+    a, sigma_x, sigma_y = np.eye(2), np.eye(2), 2.0 * np.eye(2)
+    pair = SamplePair(x, y)
+    sample = MultiSample(data)
+    model = LinearModel(a=a, sigma_x=sigma_x, sigma_y=sigma_y)
+    stored = [
+        (x, pair.x),
+        (y, pair.y),
+        (data, sample.data),
+        (a, model.a),
+        (sigma_x, model.sigma_x),
+        (sigma_y, model.sigma_y),
+    ]
+    for callers, kept in stored:
+        assert callers.flags.writeable
+        assert not kept.flags.writeable
+        assert np.shares_memory(callers, kept)  # a view, not a copy
 
 
 def test_multisample_shape_properties():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,16 @@ def test_load_manifest_rejects_malformed_rows(tmp_path, line):
     (tmp_path / "m.csv").write_text(line)
     with pytest.raises(ParseError):
         load_manifest(tmp_path / "m.csv")
+
+
+def test_readme_manifest_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Manifests for `pairs`", 1)[1].split("```\n", 2)[1]
+    (tmp_path / "m.csv").write_text(block)
+    first, second = load_manifest(tmp_path / "m.csv").entries
+    assert first.path == (tmp_path / "data" / "pair01.tsv").resolve()
+    assert (first.x_col, first.y_col, first.truth, first.weight) == (0, 1, Direction.X_TO_Y, 1.0)
+    assert (second.truth, second.weight) == (Direction.Y_TO_X, 2.0)
 
 
 def test_load_manifest_empty(tmp_path):

@@ -52,29 +52,29 @@ def test_substream_is_reproducible_and_path_sensitive():
 
 @pytest.mark.parametrize("kind", list(InputKind))
 def test_sample_input_truncated_support(kind):
-    values = sample_input(InputDist(kind), 2000, rng_seed=71)
+    values = sample_input(InputDist(kind), 2000, substream(71))
     assert values.size == 2000
     assert values.min() >= 0.0 and values.max() <= 1.0
-    assert np.array_equal(values, sample_input(InputDist(kind), 2000, rng_seed=71))
+    assert np.array_equal(values, sample_input(InputDist(kind), 2000, substream(71)))
 
 
 def test_sample_input_untruncated_leaves_support():
-    values = sample_input(InputDist(InputKind.GAUSS_AT_ZERO, sigma=1.0), 2000, rng_seed=72, truncate=False)
+    values = sample_input(InputDist(InputKind.GAUSS_AT_ZERO, sigma=1.0), 2000, substream(72), truncate=False)
     assert values.min() < 0.0 < values.max()
 
 
 def test_sample_input_location_sanity():
-    uniform = sample_input(InputDist(InputKind.UNIFORM), 4000, rng_seed=73)
+    uniform = sample_input(InputDist(InputKind.UNIFORM), 4000, substream(73))
     assert abs(uniform.mean() - 0.5) <= 0.03
     # half-normal mean is sigma * sqrt(2 / pi) = 0.1596 for sigma = 0.2
-    at_zero = sample_input(InputDist(InputKind.GAUSS_AT_ZERO), 4000, rng_seed=74)
+    at_zero = sample_input(InputDist(InputKind.GAUSS_AT_ZERO), 4000, substream(74))
     assert abs(at_zero.mean() - 0.1596) <= 0.02
-    at_one = sample_input(InputDist(InputKind.GAUSS_AT_ONE), 4000, rng_seed=75)
+    at_one = sample_input(InputDist(InputKind.GAUSS_AT_ONE), 4000, substream(75))
     assert abs(at_one.mean() - (1.0 - 0.1596)) <= 0.02
 
 
 def test_sample_input_mixture_is_bimodal():
-    values = sample_input(InputDist(InputKind.GAUSS_MIXTURE), 6000, rng_seed=76)
+    values = sample_input(InputDist(InputKind.GAUSS_MIXTURE), 6000, substream(76))
     near_mode = np.count_nonzero((values > 0.25) & (values < 0.35))
     valley = np.count_nonzero((values > 0.45) & (values < 0.55))
     assert near_mode > 2 * valley
@@ -86,14 +86,14 @@ def test_input_dist_validation():
     with pytest.raises(ValueError):
         InputDist(InputKind.UNIFORM, sigma=float("inf"))
     with pytest.raises(TooFewRowsError):
-        sample_input(InputDist(InputKind.UNIFORM), 0, rng_seed=0)
+        sample_input(InputDist(InputKind.UNIFORM), 0, substream(0))
 
 
 def test_sampling_stall_is_detected(monkeypatch):
     # a proposal stream that never lands in [0, 1]
     monkeypatch.setattr(sim, "_propose", lambda dist, rng, n: np.full(n, 2.0))
     with pytest.raises(SamplingStalledError):
-        sample_input(InputDist(InputKind.GAUSS_AT_ONE), 10, rng_seed=77)
+        sample_input(InputDist(InputKind.GAUSS_AT_ONE), 10, substream(77))
 
 
 # ------------------------------------------------------------------ mechanisms
@@ -223,7 +223,7 @@ def test_run_grid_replicates_documented_draw_order():
     for rep in range(5):
         rng = substream(90, 0, 4, rep)  # row A, column e
         spec = MechanismSpec.random_cdf_mix(rng)
-        x = sim._draw(InputDist(InputKind.UNIFORM), 200, rng, truncate=True)
+        x = sample_input(InputDist(InputKind.UNIFORM), 200, rng, truncate=True)
         y = apply_mechanism(spec, x) + 0.01 * rng.random(200)
         report = igci_score(SamplePair(x, y))
         if report.direction is Direction.X_TO_Y:

@@ -1,0 +1,41 @@
+"""The package's surface: exports resolve and the report scripts run."""
+
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import igci
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Tiny arguments so each script finishes in about a second.
+SCRIPT_ARGS = {
+    "run_benchmark_grid.py": ["--m", "50", "--reps", "2"],
+    "run_sine_sweep.py": ["--m", "50", "--reps", "2"],
+    "run_trace_concentration.py": ["--dims", "2,3", "--m", "200", "--trials", "3"],
+}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(m.name for m in pkgutil.iter_modules(igci.__path__) if m.name != "__main__")
+)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"igci.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_report_scripts_run():
+    scripts = sorted((ROOT / "scripts").glob("*.py"))
+    assert [p.name for p in scripts] == sorted(SCRIPT_ARGS)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for script in scripts:
+        cmd = [sys.executable, str(script), *SCRIPT_ARGS[script.name]]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, f"{script.name}: {proc.stderr}"
+        assert proc.stdout
