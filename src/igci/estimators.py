@@ -20,6 +20,7 @@ On noise-free strictly monotone data the two routes agree to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,6 +37,7 @@ from .core import (
 )
 from .errors import (
     AllTiedError,
+    DataError,
     DimensionMismatchError,
     NoValidSpacingsError,
     TooFewRowsError,
@@ -100,7 +102,13 @@ def _slope_stat(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
     keep = (dx != 0.0) & (dy != 0.0)
     if not np.any(keep):
         raise NoValidSpacingsError("every consecutive pair had a zero difference")
-    stat = float(np.mean(np.log(np.abs(dy[keep] / dx[keep]))))
+    with np.errstate(all="ignore"):
+        stat = float(np.mean(np.log(np.abs(dy[keep] / dx[keep]))))
+    if not math.isfinite(stat):
+        raise DataError(
+            "mean log slope is not finite: dy/dx leaves the float range; the smallest "
+            f"spacing between sorted values is {float(np.min(dx[keep]))!r}"
+        )
     return stat, int(np.count_nonzero(keep))
 
 

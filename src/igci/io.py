@@ -1,14 +1,15 @@
 """File formats, lag alignment, and manifest evaluation.
 
-Data files are plain text: one row per observation, columns separated by
-whitespace or commas, '#' starts a comment line. Manifests are CSV with
-columns id, path, x_col, y_col, truth, weight (the last two optional);
-paths are resolved relative to the manifest's directory.
+Data files are plain UTF-8 text: one row per observation, columns
+separated by whitespace or commas, '#' starts a comment line. Manifests are
+CSV with columns id, path, x_col, y_col, truth, weight (the last two
+optional); paths are resolved relative to the manifest's directory.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -50,32 +51,86 @@ def _tokenize(line: str) -> list:
     return [t for t in (line.split(",") if "," in line else line.split()) if t != ""]
 
 
-def load_table(path) -> np.ndarray:
-    """Read a whole numeric table; every data row must have the same width."""
-    path = Path(path)
-    rows = []
-    width = None
+def _read_text(path: Path) -> str:
+    """The whole file as UTF-8 text; ParseError when unreadable or not UTF-8."""
     try:
-        handle = path.open("r", encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    with handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = _tokenize(line)
-            if width is None:
-                width = len(tokens)
-            elif len(tokens) != width:
-                raise ParseError(f"{path}:{lineno}: expected {width} columns, found {len(tokens)}")
-            try:
-                rows.append([float(t) for t in tokens])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"{path}:{lineno}: not UTF-8 text (byte {data[exc.start]:#04x} at offset {exc.start})"
+        ) from None
+
+
+def _comments_start_lines(text: str) -> bool:
+    """True when every '#' sits on a line whose first non-blank character
+    is '#'. A '#' later in a data line makes the line parser reject the
+    line, where np.loadtxt would drop the rest of it as a comment."""
+    pos = text.find("#")
+    while pos != -1:
+        if text[text.rfind("\n", 0, pos) + 1 : pos].strip():
+            return False
+        end = text.find("\n", pos)
+        if end == -1:
+            return True
+        pos = text.find("#", end)
+    return True
+
+
+def _parse_lines(path: Path, text: str) -> np.ndarray:
+    """Line-by-line reader, and the only source of the line-numbered errors."""
+    rows = []
+    width = None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = _tokenize(line)
+        if width is None:
+            width = len(tokens)
+        elif len(tokens) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} columns, found {len(tokens)}")
+        try:
+            rows.append([float(t) for t in tokens])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise TooFewRowsError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)
+
+
+def load_table(path) -> np.ndarray:
+    """Read a whole numeric table; every data row must have the same width.
+
+    np.loadtxt reads well-formed files in one pass. It accepts a subset of
+    what the line parser accepts, with the same values, so any file it
+    rejects (or finds empty) is handed to the line parser, which returns
+    the same table or raises with the offending line number.
+    """
+    path = Path(path)
+    text = _read_text(path)
+    if "\r" in text:  # universal newlines, as np.loadtxt reads the file
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(
+                path,
+                dtype=np.float64,
+                comments="#" if _comments_start_lines(text) else None,
+                delimiter="," if "," in text else None,
+                ndmin=2,
+                encoding="utf-8",
+            )
+    except ValueError:
+        table = None
+    if table is None or table.size == 0:
+        return _parse_lines(path, text)
+    return table
 
 
 def load_columns(path, cols: Sequence[int]) -> np.ndarray:
@@ -128,14 +183,75 @@ class LagAlignment:
     overlap_length: int
 
 
+# Error budget of the FFT pass, relative to each whole series' centred sum
+# of squares; it sits far above the rounding of prefix sums and FFTs.
+_ALIGN_RTOL = 1e-9
+
+
+def _score_lag(a: np.ndarray, b: np.ndarray, lag: int) -> Optional[LagAlignment]:
+    """np.corrcoef of a[i] against b[i + lag], or None for a skipped overlap."""
+    start = max(0, -lag)
+    stop = min(a.size, b.size - lag)
+    if stop - start < 3:
+        return None
+    seg_a = a[start:stop]
+    seg_b = b[start + lag : stop + lag]
+    if seg_a.std() == 0.0 or seg_b.std() == 0.0:
+        return None
+    corr = float(np.corrcoef(seg_a, seg_b)[0, 1])
+    return LagAlignment(lag=lag, correlation=corr, overlap_length=stop - start)
+
+
+def _candidate_lags(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
+    """Every lag whose |correlation| may be the largest, from one FFT pass.
+
+    All cross products come from one zero-padded FFT of the centred series,
+    each overlap's sums and sums of squares from prefix sums. With every
+    quantity off by at most its error budget, a lag is dropped only when
+    its |r| is certainly below some other lag's; a lag whose overlap
+    variance is within budget of zero is always kept.
+    """
+    lags = np.arange(-max_lag, max_lag + 1)
+    start = np.maximum(0, -lags)
+    stop = np.minimum(a.size, b.size - lags)
+    n = stop - start
+    ca = a - a.mean()
+    cb = b - b.mean()
+    # Long enough that no product wraps round into a lag within max_lag.
+    size = 1 << (max(a.size, b.size) + max_lag).bit_length()
+    cross = np.fft.irfft(np.conj(np.fft.rfft(ca, size)) * np.fft.rfft(cb, size), size)[lags]
+    sum_a = np.concatenate(([0.0], np.cumsum(ca)))
+    sum_b = np.concatenate(([0.0], np.cumsum(cb)))
+    sq_a = np.concatenate(([0.0], np.cumsum(ca * ca)))
+    sq_b = np.concatenate(([0.0], np.cumsum(cb * cb)))
+    s_a = sum_a[stop] - sum_a[start]
+    s_b = sum_b[stop + lags] - sum_b[start + lags]
+    var_a = sq_a[stop] - sq_a[start] - s_a * s_a / n
+    var_b = sq_b[stop + lags] - sq_b[start + lags] - s_b * s_b / n
+    cov = np.abs(cross - s_a * s_b / n)
+    err_a = _ALIGN_RTOL * sq_a[-1]
+    err_b = _ALIGN_RTOL * sq_b[-1]
+    err_ab = _ALIGN_RTOL * np.sqrt(sq_a[-1] * sq_b[-1])
+    sure = (var_a > err_a) & (var_b > err_b)
+    low = np.full(lags.size, -np.inf)
+    high = np.full(lags.size, np.inf)
+    low[sure] = (cov[sure] - err_ab) / np.sqrt((var_a[sure] + err_a) * (var_b[sure] + err_b))
+    high[sure] = (cov[sure] + err_ab) / np.sqrt((var_a[sure] - err_a) * (var_b[sure] - err_b))
+    return lags[high >= low.max()]
+
+
 def align_lag(a, b, max_lag: int) -> LagAlignment:
     """Find the integer shift of b that best correlates the two series.
 
     Candidate lags L in [-max_lag, max_lag] compare a[i] against b[i + L];
-    a positive result means b lags behind a. The winner maximizes Pearson
-    correlation, with ties broken toward the smallest |L| (then the
-    smaller signed L). Lags whose overlap is constant or shorter than 3
-    are skipped; if every lag is skipped the series cannot be aligned.
+    a positive result means b lags behind a. The winner maximizes the
+    absolute Pearson correlation, with ties broken toward the smallest |L|
+    (then the smaller signed L); the reported correlation keeps its sign.
+    Lags whose overlap is constant or shorter than 3 are skipped; if every
+    lag is skipped the series cannot be aligned.
+
+    One FFT pass bounds |r| for every lag in O(n log n); only the lags
+    that may win are then scored exactly with np.corrcoef.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -149,18 +265,10 @@ def align_lag(a, b, max_lag: int) -> LagAlignment:
             f"series of lengths {a.size} and {b.size} are too short for max_lag {max_lag}"
         )
     best: Optional[LagAlignment] = None
-    for lag in sorted(range(-max_lag, max_lag + 1), key=lambda L: (abs(L), L)):
-        start = max(0, -lag)
-        stop = min(a.size, b.size - lag)
-        if stop - start < 3:
-            continue
-        seg_a = a[start:stop]
-        seg_b = b[start + lag : stop + lag]
-        if seg_a.std() == 0.0 or seg_b.std() == 0.0:
-            continue
-        corr = float(np.corrcoef(seg_a, seg_b)[0, 1])
-        if best is None or corr > best.correlation:
-            best = LagAlignment(lag=lag, correlation=corr, overlap_length=stop - start)
+    for lag in sorted(_candidate_lags(a, b, max_lag).tolist(), key=lambda L: (abs(L), L)):
+        found = _score_lag(a, b, lag)
+        if found is not None and (best is None or abs(found.correlation) > abs(best.correlation)):
+            best = found
     if best is None:
         raise ConstantInputError("every candidate overlap is constant; alignment undefined")
     return best
@@ -197,11 +305,8 @@ class PairsManifest:
 def load_manifest(path) -> PairsManifest:
     path = Path(path)
     entries = []
-    try:
-        with path.open("r", encoding="utf-8", newline="") as handle:
-            lines = [ln for ln in handle if ln.strip() and not ln.lstrip().startswith("#")]
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    handle = io.StringIO(_read_text(path), newline="")
+    lines = [ln for ln in handle if ln.strip() and not ln.lstrip().startswith("#")]
     for lineno, row in enumerate(csv.reader(lines), start=1):
         row = [field.strip() for field in row]
         if len(row) < 4 or len(row) > 6:

@@ -16,8 +16,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def json_records(out: str):
-    return [json.loads(line) for line in out.splitlines()]
+    return [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()]
 
 
 @pytest.fixture
@@ -86,6 +90,22 @@ def test_infer_extreme_range_is_a_data_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "infer", str(path))
     assert code == EXIT_DATA and out == ""
     assert "data error" in err and "overflow" in err
+
+
+def test_infer_non_utf8_file_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "latin.tsv"
+    path.write_bytes(b"1 2\n3 4\n5 \xff6\n")
+    code, out, err = run_cli(capsys, "infer", str(path))
+    assert code == EXIT_DATA and out == ""
+    assert "data error" in err and ":3: not UTF-8" in err and "offset 10" in err
+
+
+def test_infer_slope_overflow_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "subnormal.tsv"
+    path.write_text("0 0\n5e-324 0.5\n1 1\n0.5 0.7\n")
+    code, out, err = run_cli(capsys, "infer", str(path), "--estimator", "slope")
+    assert code == EXIT_DATA and out == ""
+    assert "data error" in err and "not finite" in err and "5e-324" in err
 
 
 # ----------------------------------------------------------------------- usage
@@ -177,6 +197,32 @@ def test_pairs_manifest_run(capsys, tmp_path):
     summary = records[-1]
     assert summary["decisions_pct"] == 100.0
     assert summary["accuracy_pct"] == 100.0
+
+
+def test_pairs_records_unreadable_entries_and_keeps_going(capsys, tmp_path):
+    x = substream(206).random(500)
+    write_pair(tmp_path / "good.tsv", SamplePair(x, np.cbrt(x)))
+    (tmp_path / "latin.tsv").write_bytes(b"1 2\n\xe9 4\n5 6\n")
+    (tmp_path / "subnormal.tsv").write_text("0 0\n5e-324 0.5\n1 1\n0.5 0.7\n")
+    (tmp_path / "m.csv").write_text(
+        "good, good.tsv, 0, 1, x->y\n"
+        "latin, latin.tsv, 0, 1, x->y\n"
+        "subnormal, subnormal.tsv, 0, 1, x->y\n"
+    )
+    code, out, err = run_cli(capsys, "pairs", str(tmp_path / "m.csv"), "--estimator", "slope")
+    assert code == EXIT_OK and err == ""
+    _, good, latin, subnormal, summary = json_records(out)
+    assert good["error"] is None and good["correct"] is True
+    assert ":2: not UTF-8" in latin["error"] and latin["c_xy"] is None
+    assert "not finite" in subnormal["error"] and subnormal["c_xy"] is None
+    assert summary["decisions_pct"] == pytest.approx(100.0 / 3.0)
+
+
+def test_pairs_non_utf8_manifest_is_a_data_error(capsys, tmp_path):
+    (tmp_path / "m.csv").write_bytes(b"a, p\xff.tsv, 0, 1\n")
+    code, out, err = run_cli(capsys, "pairs", str(tmp_path / "m.csv"))
+    assert code == EXIT_DATA and out == ""
+    assert "data error" in err and "not UTF-8" in err
 
 
 def test_pairs_empty_manifest_is_a_data_error(capsys, tmp_path):

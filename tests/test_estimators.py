@@ -204,6 +204,17 @@ def test_igci_score_extreme_range_names_the_overflow(reference, estimator):
     assert type(info.value) is DataError
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_igci_score_slope_names_a_subnormal_spacing(swap):
+    # 5e-324 survives normalize_uniform, and 0.5 / 5e-324 overflows
+    x, y = [0.0, 5e-324, 1.0, 0.5], [0.0, 0.5, 1.0, 0.7]
+    pair = SamplePair(y, x) if swap else SamplePair(x, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="not finite.*5e-324"):
+            igci_score(pair, estimator=SLOPE)
+
+
 def test_igci_score_constant_variable():
     x = substream(33).random(50)
     with pytest.raises(ConstantInputError):

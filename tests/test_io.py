@@ -2,11 +2,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igci import (
     ConstantInputError,
     Direction,
     EmptyManifestError,
+    IgciError,
+    LagAlignment,
     ParseError,
     SamplePair,
     TooFewRowsError,
@@ -19,6 +23,7 @@ from igci import (
     load_table,
     write_pair,
 )
+from igci.io import _parse_lines
 from igci.simulation import substream
 
 
@@ -48,6 +53,69 @@ def test_load_table_empty_and_missing(tmp_path):
         load_table(p)
     with pytest.raises(ParseError):
         load_table(tmp_path / "no_such_file.tsv")
+
+
+def test_load_table_rejects_non_utf8_with_line_and_offset(tmp_path):
+    p = tmp_path / "latin.tsv"
+    p.write_bytes(b"1 2\n3 \xff4\n")
+    with pytest.raises(ParseError, match=r":2: not UTF-8 text \(byte 0xff at offset 6\)"):
+        load_table(p)
+
+
+_NUMBER_TOKENS = st.one_of(
+    st.floats(width=64).map(lambda v: f"{v:.17g}"),
+    st.floats(width=64).map(repr),
+    st.integers(-1000, 1000).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-Infinity", "1e400", "-1e-400", "1_0", "1.", ".5"]),
+)
+_ODD_TOKENS = st.sampled_from(["#", "1#", "0x10", '"1"', "", "1d0", "\ufeff1"])
+
+
+@st.composite
+def _table_texts(draw):
+    """Table text, well-formed or not, with either kind of separator."""
+    width = draw(st.integers(1, 4))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    seps = st.sampled_from([" ", "\t", "  \t ", ",", ", "])
+    sep = draw(seps)
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["comment", "blank", "ragged", "odd", "mixed"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# note", "  # x, y", "#", "## a # b"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        else:
+            n = draw(st.integers(1, 5)) if kind == "ragged" else width
+            tokens = draw(st.lists(_NUMBER_TOKENS, min_size=n, max_size=n))
+            if kind == "odd":
+                tokens[draw(st.integers(0, n - 1))] = draw(_ODD_TOKENS)
+            lines.append((draw(seps) if kind == "mixed" else sep).join(tokens))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IgciError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_table_texts())
+def test_load_table_matches_the_line_parser(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "table.txt"
+    path.write_bytes(text.encode("utf-8"))
+    # read_text applies universal newlines, as the reader used to
+    expected = _outcome(_parse_lines, path, path.read_text(encoding="utf-8"))
+    got = _outcome(load_table, path)
+    if isinstance(expected, tuple):
+        assert isinstance(got, tuple) and got == expected
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 # -------------------------------------------------------------- pair round trip
@@ -112,12 +180,89 @@ def test_align_lag_zero_for_identical_series():
 
 
 def test_align_lag_tie_breaks_toward_smaller_signed_lag():
-    # period-4 series: lags -2 and +2 both give exact correlation 1
-    a = np.tile([0.0, 1.0, 0.0, -1.0], 30)
+    # period-4 series: lags -2 and +2 both give exact correlation 1, and
+    # no lag is anti-correlated as strongly
+    a = np.tile([0.0, 1.0, 3.0, 1.0], 30)
     b = np.roll(a, 2)
     found = align_lag(a, b, max_lag=6)
     assert found.lag == -2
     assert found.correlation == pytest.approx(1.0, abs=1e-12)
+
+
+def test_align_lag_maximizes_absolute_correlation():
+    rng = substream(102)
+    a = rng.standard_normal(200)
+    found = align_lag(a, -np.roll(a, 5), max_lag=20)
+    assert found.lag == 5
+    assert found.correlation <= -0.999  # the sign is kept
+    assert found.overlap_length == 195
+
+
+def test_align_lag_breaks_absolute_ties_toward_smaller_signed_lag():
+    # period-8 antiperiodic series: lag -2 gives r = -1 and lag +2 gives r = +1
+    a = np.tile([0.0, 1.0, 3.0, 1.0, 0.0, -1.0, -3.0, -1.0], 12)
+    b = np.roll(a, 2)
+    assert float(np.corrcoef(a[2:], b[:-2])[0, 1]) == -1.0
+    assert float(np.corrcoef(a[:-2], b[2:])[0, 1]) == 1.0
+    found = align_lag(a, b, max_lag=6)
+    assert (found.lag, found.correlation) == (-2, -1.0)
+
+
+def _align_reference(a, b, max_lag):
+    """The per-lag loop align_lag replaced, selecting by |r|."""
+    best = None
+    for lag in sorted(range(-max_lag, max_lag + 1), key=lambda L: (abs(L), L)):
+        start = max(0, -lag)
+        stop = min(a.size, b.size - lag)
+        if stop - start < 3:
+            continue
+        seg_a = a[start:stop]
+        seg_b = b[start + lag : stop + lag]
+        if seg_a.std() == 0.0 or seg_b.std() == 0.0:
+            continue
+        corr = float(np.corrcoef(seg_a, seg_b)[0, 1])
+        if best is None or abs(corr) > abs(best.correlation):
+            best = LagAlignment(lag=lag, correlation=corr, overlap_length=stop - start)
+    return best
+
+
+def _series(kind, rng, n):
+    if kind == "gaussian":
+        return rng.standard_normal(n)
+    if kind == "discrete":
+        return rng.integers(0, 3, n).astype(np.float64)
+    if kind == "stretches":
+        values = rng.standard_normal(n)
+        cut = rng.integers(0, n, 2)
+        values[min(cut) : max(cut) + 1] = 0.1
+        return values
+    return 1e6 + np.cumsum(rng.standard_normal(n))  # random walk far from zero
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kinds=st.tuples(*[st.sampled_from(["gaussian", "discrete", "stretches", "walk"])] * 2),
+    sizes=st.tuples(st.integers(3, 80), st.integers(3, 80)),
+    lag_share=st.floats(0.0, 1.0),
+    shift=st.integers(-10, 10),
+    sign=st.sampled_from([1.0, -1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_align_lag_matches_per_lag_loop(kinds, sizes, lag_share, shift, sign, seed):
+    rng = substream(seed)
+    a = _series(kinds[0], rng, sizes[0])
+    b = _series(kinds[1], rng, sizes[1])
+    if kinds[0] == kinds[1]:
+        b = sign * np.roll(np.resize(a, b.size), shift) + 0.1 * b
+    max_lag = round(lag_share * (min(a.size, b.size) - 3))  # up to n - 3
+    expected = _align_reference(a, b, max_lag)
+    if expected is None:
+        with pytest.raises(ConstantInputError):
+            align_lag(a, b, max_lag)
+        return
+    found = align_lag(a, b, max_lag)
+    assert (found.lag, found.overlap_length) == (expected.lag, expected.overlap_length)
+    assert found.correlation == expected.correlation
 
 
 def test_align_lag_guards():
