@@ -60,16 +60,19 @@ def _read_text(path: Path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
+        head = data[: exc.start]  # line breaks as universal newlines count them
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParseError(
             f"{path}:{lineno}: not UTF-8 text (byte {data[exc.start]:#04x} at offset {exc.start})"
         ) from None
 
 
 def _comments_start_lines(text: str) -> bool:
-    """True when every '#' sits on a line whose first non-blank character
-    is '#'. A '#' later in a data line makes the line parser reject the
-    line, where np.loadtxt would drop the rest of it as a comment."""
+    """Whether every '#' sits on a line whose first non-blank character is '#'.
+
+    A '#' later in a data line makes the line parser reject the line, where
+    np.loadtxt would drop the rest of it as a comment.
+    """
     pos = text.find("#")
     while pos != -1:
         if text[text.rfind("\n", 0, pos) + 1 : pos].strip():

@@ -57,9 +57,11 @@ def test_load_table_empty_and_missing(tmp_path):
 
 def test_load_table_rejects_non_utf8_with_line_and_offset(tmp_path):
     p = tmp_path / "latin.tsv"
-    p.write_bytes(b"1 2\n3 \xff4\n")
-    with pytest.raises(ParseError, match=r":2: not UTF-8 text \(byte 0xff at offset 6\)"):
-        load_table(p)
+    for newline in (b"\n", b"\r\n", b"\r"):
+        p.write_bytes(b"1 2" + newline + b"3 \xff4" + newline)
+        offset = 5 + len(newline)
+        with pytest.raises(ParseError, match=rf":2: not UTF-8 text \(byte 0xff at offset {offset}\)"):
+            load_table(p)
 
 
 _NUMBER_TOKENS = st.one_of(
