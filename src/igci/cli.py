@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .core import MultiSample, ReferenceFamily, kl_additivity_gap
@@ -207,10 +208,9 @@ def _cmd_align(args) -> int:
     max_lag = args.max_lag if args.max_lag is not None else max(1, min(a.size, b.size) // 10)
     alignment = align_lag(a, b, max_lag)
     if abs(alignment.correlation) < LOW_CORRELATION_WARN:
-        print(
-            f"warning: best correlation {alignment.correlation:.3f} is below "
-            f"{LOW_CORRELATION_WARN}; the series may not be related",
-            file=sys.stderr,
+        warnings.warn(
+            f"best correlation {alignment.correlation:.3f} is below "
+            f"{LOW_CORRELATION_WARN}; the series may not be related"
         )
     record = {
         "record": "align",
@@ -343,6 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"igci: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -351,17 +355,20 @@ def main(argv=None) -> int:
         if isinstance(exc.code, int):
             return exc.code
         return EXIT_OK if exc.code is None else EXIT_USAGE
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"igci: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"igci: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except IgciError as exc:
-        print(f"igci: numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    # Every warning, the library's included, becomes one line on stderr.
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except _UsageError as exc:
+            print(f"igci: error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except DataError as exc:
+            print(f"igci: data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except IgciError as exc:
+            print(f"igci: numeric error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ import numpy as np
 from .core import Direction, ReferenceFamily, SamplePair
 from .errors import (
     ConstantInputError,
+    DataError,
     EmptyManifestError,
     IgciError,
     ParseError,
@@ -32,7 +33,6 @@ from .estimators import EstimatorKind, IgciReport, igci_score
 __all__ = [
     "LagAlignment",
     "ManifestEntry",
-    "PairsManifest",
     "EntryReport",
     "ManifestSummary",
     "load_table",
@@ -251,7 +251,8 @@ def align_lag(a, b, max_lag: int) -> LagAlignment:
     absolute Pearson correlation, with ties broken toward the smallest |L|
     (then the smaller signed L); the reported correlation keeps its sign.
     Lags whose overlap is constant or shorter than 3 are skipped; if every
-    lag is skipped the series cannot be aligned.
+    lag is skipped the series cannot be aligned. A non-finite value is a
+    DataError: dropping its row would shift the series.
 
     One FFT pass bounds |r| for every lag in O(n log n); only the lags
     that may win are then scored exactly with np.corrcoef.
@@ -260,6 +261,10 @@ def align_lag(a, b, max_lag: int) -> LagAlignment:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1:
         raise ParseError("series must be one-dimensional")
+    for name, series in (("a", a), ("b", b)):
+        bad = np.flatnonzero(~np.isfinite(series))
+        if bad.size:
+            raise DataError(f"series {name} has a non-finite value at row {bad[0]} (counting from 0)")
     max_lag = int(max_lag)
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")
@@ -300,12 +305,8 @@ class ManifestEntry:
             raise ParseError(f"entry {self.entry_id}: weight must be positive, got {self.weight!r}")
 
 
-@dataclass(frozen=True)
-class PairsManifest:
-    entries: tuple
-
-
-def load_manifest(path) -> PairsManifest:
+def load_manifest(path) -> tuple:
+    """Parse a manifest CSV into a tuple of ManifestEntry, in file order."""
     path = Path(path)
     entries = []
     handle = io.StringIO(_read_text(path), newline="")
@@ -334,7 +335,7 @@ def load_manifest(path) -> PairsManifest:
             raise ParseError(f"{path}: entry {lineno}: {exc}") from None
     if not entries:
         raise EmptyManifestError(f"{path}: manifest has no entries")
-    return PairsManifest(entries=tuple(entries))
+    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -391,7 +392,7 @@ class ManifestSummary:
 
 
 def evaluate_manifest(
-    manifest: PairsManifest,
+    manifest: Sequence[ManifestEntry],
     reference: ReferenceFamily = ReferenceFamily.UNIFORM_UNIT,
     estimator: EstimatorKind = EstimatorKind.ENTROPY_SPACING,
 ) -> ManifestSummary:
@@ -403,10 +404,10 @@ def evaluate_manifest(
     Per-entry failures are recorded, not raised. fsum keeps both summary
     numbers invariant under entry reordering.
     """
-    if not manifest.entries:
+    if not manifest:
         raise EmptyManifestError("manifest has no entries")
     reports = []
-    for entry in manifest.entries:
+    for entry in manifest:
         try:
             pair = load_pair(entry.path, entry.x_col, entry.y_col)
             result = igci_score(pair, reference=reference, estimator=estimator)

@@ -349,24 +349,36 @@ def _mechanism_for_rep(col_kind: MechanismKind, rng: np.random.Generator) -> Mec
     return MechanismSpec(col_kind)
 
 
-def _score_tally(
-    x: np.ndarray,
-    y: np.ndarray,
-    tally: CellTally,
-    estimator: EstimatorKind,
-    reference: ReferenceFamily,
-) -> None:
-    try:
-        report = igci_score(SamplePair(x, y), reference, estimator)
-    except IgciError:
-        tally.undecided += 1
-        return
-    if report.direction is Direction.X_TO_Y:
-        tally.correct += 1
-    elif report.direction is Direction.Y_TO_X:
-        tally.wrong += 1
-    else:
-        tally.undecided += 1
+def _run_cells(cells, draw, m, repetitions, estimator, reference, seed) -> list:
+    """Score `repetitions` draws per cell and tally the calls against x -> y.
+
+    cells holds (label, path, spec) triples; repetition rep of a cell draws
+    its (x, y) with draw(spec, substream(seed, *path, rep)). Estimator
+    errors inside a repetition are tallied as undecided. Returns
+    (label, CellTally) pairs in cell order.
+    """
+    if m < 3:
+        raise TooFewRowsError(f"m must be at least 3, got {m}")
+    if repetitions < 1:
+        raise DomainError(f"repetitions must be at least 1, got {repetitions}")
+    results = []
+    for label, path, spec in cells:
+        tally = CellTally()
+        for rep in range(repetitions):
+            x, y = draw(spec, substream(seed, *path, rep))
+            try:
+                report = igci_score(SamplePair(x, y), reference, estimator)
+            except IgciError:
+                tally.undecided += 1
+                continue
+            if report.direction is Direction.X_TO_Y:
+                tally.correct += 1
+            elif report.direction is Direction.Y_TO_X:
+                tally.wrong += 1
+            else:
+                tally.undecided += 1
+        results.append((label, tally))
+    return results
 
 
 def run_grid(
@@ -385,25 +397,23 @@ def run_grid(
     reproducibility contract. Estimator errors inside a repetition are
     tallied as undecided.
     """
-    if m < 3:
-        raise TooFewRowsError(f"m must be at least 3, got {m}")
-    if repetitions < 1:
-        raise ValueError("repetitions must be positive")
-    cells = {}
-    for i, (row_label, dist) in enumerate(GRID_INPUTS):
-        for j, (col_label, col_kind) in enumerate(GRID_MECHANISMS):
-            tally = CellTally()
-            for rep in range(repetitions):
-                rng = substream(seed, i, j, rep)
-                spec = _mechanism_for_rep(col_kind, rng)
-                x = sample_input(dist, m, rng)
-                y = apply_mechanism(spec, x)
-                if noise.kind is not NoiseKind.NONE:
-                    y = y + noise.lam * _sample_noise(noise, m, rng)
-                _score_tally(x, y, tally, estimator, reference)
-            cells[(row_label, col_label)] = tally
+
+    def draw(spec, rng):
+        dist, col_kind = spec
+        mechanism = _mechanism_for_rep(col_kind, rng)
+        x = sample_input(dist, m, rng)
+        y = apply_mechanism(mechanism, x)
+        if noise.kind is not NoiseKind.NONE:
+            y = y + noise.lam * _sample_noise(noise, m, rng)
+        return x, y
+
+    cells = [
+        ((row_label, col_label), (i, j), (dist, col_kind))
+        for i, (row_label, dist) in enumerate(GRID_INPUTS)
+        for j, (col_label, col_kind) in enumerate(GRID_MECHANISMS)
+    ]
     return SimGridResult(
-        cells=cells,
+        cells=dict(_run_cells(cells, draw, m, repetitions, estimator, reference, seed)),
         m=m,
         repetitions=repetitions,
         noise=noise,
@@ -466,20 +476,15 @@ def run_sine(
         raise DomainError("epsilon must be nonnegative and omega positive")
     if epsilon * omega >= 1.0:
         raise DomainError(f"epsilon * omega = {epsilon * omega!r} must stay below 1 to keep the map increasing")
-    if m < 3:
-        raise TooFewRowsError(f"m must be at least 3, got {m}")
+
+    def draw(dist, rng):
+        x = sample_input(dist, m, rng, truncate=False)
+        return x, x + epsilon * np.sin(omega * x)
+
     chosen = tuple(dists) if dists is not None else SINE_INPUTS
-    entries = []
-    for i, (label, dist) in enumerate(chosen):
-        tally = CellTally()
-        for rep in range(repetitions):
-            rng = substream(seed, i, rep)
-            x = sample_input(dist, m, rng, truncate=False)
-            y = x + epsilon * np.sin(omega * x)
-            _score_tally(x, y, tally, estimator, reference)
-        entries.append((label, tally))
+    cells = [(label, (i,), dist) for i, (label, dist) in enumerate(chosen)]
     return SineResult(
-        entries=tuple(entries),
+        entries=tuple(_run_cells(cells, draw, m, repetitions, estimator, reference, seed)),
         epsilon=epsilon,
         omega=omega,
         m=m,

@@ -110,6 +110,19 @@ def test_infer_slope_overflow_is_a_data_error(capsys, tmp_path):
 
 # ----------------------------------------------------------------------- usage
 
+def test_infer_dropped_rows_warning_is_one_line(capsys, tmp_path):
+    x = substream(206).random(100)
+    path = tmp_path / "gap.tsv"
+    write_pair(path, SamplePair(x, x ** 3))
+    with path.open("a") as handle:
+        handle.write("nan\t0.5\n")
+    code, out, err = run_cli(capsys, "infer", str(path))
+    assert code == EXIT_OK
+    assert err == f"igci: warning: {path}: dropped 1 rows with non-finite values\n"
+    (record,) = json_records(out)
+    assert record["m_used"] == 100
+
+
 def test_usage_errors_exit_1(capsys):
     assert main([]) == EXIT_USAGE
     capsys.readouterr()
@@ -167,6 +180,13 @@ def test_simulate_sine_runs_and_guards(capsys):
     )
     assert code == EXIT_NUMERIC  # flutter too strong to stay monotone
     assert "numeric error" in err
+
+
+@pytest.mark.parametrize("experiment", ["grid", "sine"])
+def test_simulate_zero_reps_is_a_numeric_error(capsys, experiment):
+    code, out, err = run_cli(capsys, "simulate", "--experiment", experiment, "--reps", "0")
+    assert code == EXIT_NUMERIC and out == ""
+    assert err == "igci: numeric error: repetitions must be at least 1, got 0\n"
 
 
 def test_simulate_tsv_config_comment(capsys):
@@ -279,6 +299,14 @@ def test_tracedir_column_errors(capsys, linear_table):
     assert code == EXIT_DATA  # duplicated regressor column cannot be fit
 
 
+def test_tracedir_non_finite_value_is_a_data_error(capsys, linear_table):
+    with linear_table.open("a") as handle:
+        handle.write("1\t2\tnan\t4\n")
+    code, out, err = run_cli(capsys, "tracedir", str(linear_table), "--x-cols", "0,1", "--y-cols", "2,3")
+    assert code == EXIT_DATA and out == ""
+    assert "igci: data error" in err and "non-finite" in err
+
+
 # ----------------------------------------------------------------------- align
 
 def test_align_finds_lag(capsys, tmp_path):
@@ -304,6 +332,32 @@ def test_align_warns_on_weak_match(capsys, tmp_path):
     code, _, err = run_cli(capsys, "align", str(path), "--max-lag", "5")
     assert code == EXIT_OK
     assert "warning" in err and "below" in err
+
+
+def test_align_weak_match_warning_is_one_line(capsys, tmp_path):
+    rng = substream(205)
+    path = tmp_path / "noise.tsv"
+    path.write_text(
+        "".join(f"{u:.17g}\t{v:.17g}\n" for u, v in zip(rng.standard_normal(300), rng.standard_normal(300)))
+    )
+    code, out, err = run_cli(capsys, "align", str(path), "--max-lag", "5")
+    assert code == EXIT_OK
+    (record,) = json_records(out)
+    assert err == (
+        f"igci: warning: best correlation {record['correlation']:.3f} is below 0.5; "
+        "the series may not be related\n"
+    )
+
+
+def test_align_non_finite_value_is_a_data_error(capsys, tmp_path):
+    a = substream(207).standard_normal(300)
+    b = np.roll(a, 5)
+    b[150] = np.nan
+    path = tmp_path / "gap.tsv"
+    path.write_text("".join(f"{u:.17g}\t{v:.17g}\n" for u, v in zip(a, b)))
+    code, out, err = run_cli(capsys, "align", str(path))
+    assert code == EXIT_DATA and out == ""
+    assert err == "igci: data error: series b has a non-finite value at row 150 (counting from 0)\n"
 
 
 def test_align_negative_max_lag_is_usage(capsys, tmp_path):

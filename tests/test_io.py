@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from igci import (
     ConstantInputError,
+    DataError,
     Direction,
     EmptyManifestError,
     IgciError,
@@ -23,6 +24,7 @@ from igci import (
     load_table,
     write_pair,
 )
+import igci.io
 from igci.io import _parse_lines
 from igci.simulation import substream
 
@@ -278,6 +280,22 @@ def test_align_lag_guards():
         align_lag(a, np.ones(20), max_lag=2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_align_lag_rejects_non_finite_values_before_the_fft_pass(monkeypatch, bad):
+    def no_fft(*args):
+        raise AssertionError("the FFT pass ran on non-finite input")
+
+    monkeypatch.setattr(igci.io, "_candidate_lags", no_fft)
+    a = substream(106).standard_normal(300)
+    b = a.copy()
+    b[17] = bad
+    b[40] = bad
+    with pytest.raises(DataError, match="series b has a non-finite value at row 17"):
+        align_lag(a, b, max_lag=30)
+    with pytest.raises(DataError, match="series a has a non-finite value at row 17"):
+        align_lag(b, a, max_lag=30)
+
+
 # ------------------------------------------------------------------ manifests
 
 def _write_pair_file(path, seed: int, mechanism=np.cbrt, m: int = 400) -> None:
@@ -295,8 +313,8 @@ def test_load_manifest_parsing(tmp_path):
         "third, p2.tsv, 0, 1\n"
     )
     manifest = load_manifest(tmp_path / "m.csv")
-    assert len(manifest.entries) == 3
-    first, second, third = manifest.entries
+    assert len(manifest) == 3
+    first, second, third = manifest
     assert first.truth is Direction.X_TO_Y and first.weight == 2.5
     assert first.path == (tmp_path / "p1.tsv").resolve()
     assert second.truth is None and (second.x_col, second.y_col) == (1, 0)
@@ -323,7 +341,7 @@ def test_readme_manifest_example_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("Manifests for `pairs`", 1)[1].split("```\n", 2)[1]
     (tmp_path / "m.csv").write_text(block)
-    first, second = load_manifest(tmp_path / "m.csv").entries
+    first, second = load_manifest(tmp_path / "m.csv")
     assert first.path == (tmp_path / "data" / "pair01.tsv").resolve()
     assert (first.x_col, first.y_col, first.truth, first.weight) == (0, 1, Direction.X_TO_Y, 1.0)
     assert (second.truth, second.weight) == (Direction.Y_TO_X, 2.0)

@@ -289,6 +289,12 @@ def test_run_sine_parameter_guards():
         run_sine(m=2)
 
 
+@pytest.mark.parametrize("run", [run_grid, run_sine])
+def test_zero_repetitions_is_a_domain_error(run):
+    with pytest.raises(DomainError, match="repetitions must be at least 1, got 0"):
+        run(m=10, repetitions=0)
+
+
 def test_run_sine_mean_accuracy_matches_entries():
     result = run_sine(m=500, repetitions=4, seed=17)
     by_hand = sum(t.accuracy_pct for _, t in result.entries) / len(result.entries)

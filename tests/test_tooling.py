@@ -5,6 +5,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,18 @@ SCRIPT_ARGS = {
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"igci.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_exports_exactly_the_module_lists():
+    modules = ("core", "errors", "estimators", "io", "simulation", "trace")
+    declared = [n for mod in modules for n in importlib.import_module(f"igci.{mod}").__all__]
+    public = {
+        name
+        for name, value in vars(igci).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(declared) == len(set(declared))
+    assert public == set(declared)
 
 
 def test_report_scripts_run():
