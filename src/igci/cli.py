@@ -231,6 +231,8 @@ _VERIFY_INPUTS = (
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     seed = _resolve_seed(args)
     records = []
     failed = False

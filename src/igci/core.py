@@ -132,6 +132,28 @@ class MultiSample:
         return self.data.shape[1]
 
 
+def _one_row(stack_fn, *args):
+    """stack_fn(errors, *args) on one-row stacks, raising the row's error.
+    Stack functions map a failing row's index to its first error in errors."""
+    errors = {}
+    out = stack_fn(errors, *args)
+    if errors:
+        raise errors[0]
+    return out
+
+
+def _normalize_rows(errors: dict, values: np.ndarray) -> np.ndarray:
+    """normalize_uniform of each row of an (n, m) stack."""
+    lo, hi = values.min(axis=1), values.max(axis=1)
+    with np.errstate(all="ignore"):
+        span = hi - lo
+        for i in np.flatnonzero(~np.isfinite(span)).tolist():
+            errors.setdefault(i, DataError(f"value range {float(lo[i])!r} to {float(hi[i])!r} overflows float64"))
+        for i in np.flatnonzero(hi == lo).tolist():
+            errors.setdefault(i, ConstantInputError("all values identical, range normalization undefined"))
+        return (values - lo[:, None]) / span[:, None]
+
+
 def normalize_uniform(values) -> np.ndarray:
     """Affinely map values onto [0, 1] with min 0 and max 1 exactly.
 
@@ -140,14 +162,21 @@ def normalize_uniform(values) -> np.ndarray:
     arr = _as_finite_vector(values, "values")
     if arr.size == 0:
         raise DataError("cannot normalize an empty sample")
-    lo = float(arr.min())
-    hi = float(arr.max())
-    span = hi - lo
-    if not math.isfinite(span):
-        raise DataError(f"value range {lo!r} to {hi!r} overflows float64")
-    if hi == lo:
-        raise ConstantInputError("all values identical, range normalization undefined")
-    return (arr - lo) / span
+    return _one_row(_normalize_rows, arr[None])[0]
+
+
+def _standardize_rows(errors: dict, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """standardize_gaussian of each row of an (n, m) stack, with each row's mean and std."""
+    # The variance sums m squared deviations, each at most twice the largest
+    # magnitude; refuse data where that sum would overflow.
+    peak = np.maximum(-values.min(axis=1), values.max(axis=1))
+    with np.errstate(all="ignore"):
+        for i in np.flatnonzero(~np.isfinite(4.0 * peak * peak * values.shape[1])).tolist():
+            errors.setdefault(i, DataError(f"values up to {float(peak[i])!r} in magnitude overflow the float64 variance"))
+        mean, std = values.mean(axis=1), values.std(axis=1)
+        for i in np.flatnonzero(std == 0.0).tolist():
+            errors.setdefault(i, ConstantInputError("zero variance, standardization undefined"))
+        return (values - mean[:, None]) / std[:, None], mean, std
 
 
 def standardize_gaussian(values) -> tuple[np.ndarray, float, float]:
@@ -159,16 +188,8 @@ def standardize_gaussian(values) -> tuple[np.ndarray, float, float]:
     arr = _as_finite_vector(values, "values")
     if arr.size == 0:
         raise DataError("cannot standardize an empty sample")
-    # The variance sums m squared deviations, each at most twice the largest
-    # magnitude; refuse data where that sum would overflow.
-    peak = max(-float(arr.min()), float(arr.max()))
-    if not math.isfinite(4.0 * peak * peak * arr.size):
-        raise DataError(f"values up to {peak!r} in magnitude overflow the float64 variance")
-    mean = float(arr.mean())
-    std = float(arr.std())
-    if std == 0.0:
-        raise ConstantInputError("zero variance, standardization undefined")
-    return (arr - mean) / std, mean, std
+    out, mean, std = _one_row(_standardize_rows, arr[None])
+    return out[0], float(mean[0]), float(std[0])
 
 
 # Switch-over point for the asymptotic series; below it the recurrence

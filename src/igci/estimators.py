@@ -20,7 +20,6 @@ On noise-free strictly monotone data the two routes agree to rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,9 +30,10 @@ from .core import (
     ReferenceFamily,
     SamplePair,
     _as_finite_vector,
+    _normalize_rows,
+    _one_row,
+    _standardize_rows,
     digamma,
-    normalize_uniform,
-    standardize_gaussian,
 )
 from .errors import (
     AllTiedError,
@@ -73,17 +73,27 @@ class IgciReport:
     m_used: int
 
 
-def _spacing_stat(values: np.ndarray) -> tuple[float, int]:
-    """(entropy estimate, number of retained spacings)."""
-    m = values.size
-    spacings = np.diff(np.sort(values))
-    kept = spacings[spacings > 0.0]
-    if kept.size == 0:
-        raise AllTiedError("every value is identical")
+def _mean_logs(values: np.ndarray, keep: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Mean of log(values) over each row's keep entries, kept of them. A row
+    that drops entries averages them compressed, which rounds as a 1-D mean does."""
+    with np.errstate(all="ignore"):
+        logs = np.log(values)
+        means = logs.mean(axis=1)
+        for i in np.flatnonzero(kept < values.shape[1]).tolist():
+            means[i] = logs[i][keep[i]].mean() if kept[i] else np.nan
+    return means
+
+
+def _spacing_stat(errors: dict, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of an (n, m) stack: (entropy estimate, number of retained spacings)."""
+    spacings = np.diff(np.sort(values, axis=1), axis=1)
+    positive = spacings > 0.0
+    kept = np.count_nonzero(positive, axis=1)
+    for i in np.flatnonzero(kept == 0).tolist():
+        errors.setdefault(i, AllTiedError("every value is identical"))
     # Zero spacings are dropped and the divisor shrinks with them; the
     # digamma terms keep the full sample size.
-    stat = digamma(m) - digamma(1.0) + float(np.mean(np.log(kept)))
-    return stat, int(kept.size)
+    return digamma(values.shape[1]) - digamma(1.0) + _mean_logs(spacings, positive, kept), kept
 
 
 def spacing_entropy(values) -> float:
@@ -91,25 +101,30 @@ def spacing_entropy(values) -> float:
     arr = _as_finite_vector(values, "values")
     if arr.size < 2:
         raise TooFewRowsError(f"need at least 2 values, got {arr.size}")
-    return _spacing_stat(arr)[0]
+    return float(_one_row(_spacing_stat, arr[None])[0][0])
 
 
-def _slope_stat(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
-    """(mean log |dy/dx| over x-sorted consecutive pairs, retained count)."""
-    order = np.lexsort((y, x))  # sort by x, ties broken by ascending y
-    dx = np.diff(x[order])
-    dy = np.diff(y[order])
+def _slope_stat(errors: dict, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of two (n, m) stacks: (mean log |dy/dx| along sorted x, retained count)."""
+    order = np.argsort(x, axis=1)
+    row_start = np.arange(0, x.size, x.shape[1])[:, None]  # flat index of each row's first value
+    dx = np.diff(np.take(x, order + row_start), axis=1)
+    # Tied x must be ordered by ascending y, which argsort does not promise;
+    # tied values are equal, so dx stands.
+    for i in np.flatnonzero((dx == 0.0).any(axis=1)).tolist():
+        order[i] = np.lexsort((y[i], x[i]))
+    dy = np.diff(np.take(y, order + row_start), axis=1)
     keep = (dx != 0.0) & (dy != 0.0)
-    if not np.any(keep):
-        raise NoValidSpacingsError("every consecutive pair had a zero difference")
+    kept = np.count_nonzero(keep, axis=1)
     with np.errstate(all="ignore"):
-        stat = float(np.mean(np.log(np.abs(dy[keep] / dx[keep]))))
-    if not math.isfinite(stat):
-        raise DataError(
+        stat = _mean_logs(np.abs(dy / dx), keep, kept)
+    for i in np.flatnonzero(kept == 0).tolist():
+        errors.setdefault(i, NoValidSpacingsError("every consecutive pair had a zero difference"))
+    for i in np.flatnonzero(~np.isfinite(stat) & (kept > 0)).tolist():
+        errors.setdefault(i, DataError(
             "mean log slope is not finite: dy/dx leaves the float range; the smallest "
-            f"spacing between sorted values is {float(np.min(dx[keep]))!r}"
-        )
-    return stat, int(np.count_nonzero(keep))
+            f"spacing between sorted values is {float(np.min(dx[i][keep[i]]))!r}"))
+    return stat, kept
 
 
 def slope_criterion(x, y) -> float:
@@ -124,13 +139,32 @@ def slope_criterion(x, y) -> float:
         raise DimensionMismatchError(f"x has {xa.size} rows, y has {ya.size}")
     if xa.size < 2:
         raise TooFewRowsError(f"need at least 2 paired rows, got {xa.size}")
-    return _slope_stat(xa, ya)[0]
+    return float(_one_row(_slope_stat, xa[None], ya[None])[0][0])
 
 
-def _preprocess(values: np.ndarray, reference: ReferenceFamily) -> np.ndarray:
+def _score_stack(errors: dict, x: np.ndarray, y: np.ndarray, reference: ReferenceFamily, estimator: EstimatorKind):
+    """(c_xy, m_used) of each row pair of two (n, m) stacks, as igci_score
+    scores one pair. A row's error is the first of x preprocessing, y
+    preprocessing, the x side and the y side; its c_xy and m_used are void."""
     if reference is ReferenceFamily.UNIFORM_UNIT:
-        return normalize_uniform(values)
-    return standardize_gaussian(values)[0]
+        x, y = _normalize_rows(errors, x), _normalize_rows(errors, y)
+    else:
+        x, y = _standardize_rows(errors, x)[0], _standardize_rows(errors, y)[0]
+    if estimator is EstimatorKind.ENTROPY_SPACING:
+        s_x, kept_x = _spacing_stat(errors, x)
+        s_y, kept_y = _spacing_stat(errors, y)
+        return s_y - s_x, np.minimum(kept_x, kept_y) + 1
+    forward, kept_f = _slope_stat(errors, x, y)
+    backward, kept_b = _slope_stat(errors, y, x)
+    # Half the difference: the reverse term compensates the divergence
+    # both terms share once noise makes the relation non-functional.
+    return (forward - backward) / 2.0, np.minimum(kept_f, kept_b) + 1
+
+
+def _direction(c_xy: float) -> Direction:
+    if c_xy < -DECISION_TOL:
+        return Direction.X_TO_Y
+    return Direction.Y_TO_X if c_xy > DECISION_TOL else Direction.UNDECIDED
 
 
 def igci_score(
@@ -144,31 +178,6 @@ def igci_score(
     The report carries the signed score both ways round, with c_yx = -c_xy
     by construction.
     """
-    x = _preprocess(pair.x, reference)
-    y = _preprocess(pair.y, reference)
-    if estimator is EstimatorKind.ENTROPY_SPACING:
-        s_x, kept_x = _spacing_stat(x)
-        s_y, kept_y = _spacing_stat(y)
-        c_xy = s_y - s_x
-        m_used = min(kept_x, kept_y) + 1
-    else:
-        forward, kept_f = _slope_stat(x, y)
-        backward, kept_b = _slope_stat(y, x)
-        # Half the difference: the reverse term compensates the divergence
-        # both terms share once noise makes the relation non-functional.
-        c_xy = (forward - backward) / 2.0
-        m_used = min(kept_f, kept_b) + 1
-    if c_xy < -DECISION_TOL:
-        direction = Direction.X_TO_Y
-    elif c_xy > DECISION_TOL:
-        direction = Direction.Y_TO_X
-    else:
-        direction = Direction.UNDECIDED
-    return IgciReport(
-        c_xy=c_xy,
-        c_yx=-c_xy,
-        direction=direction,
-        estimator=estimator,
-        reference=reference,
-        m_used=m_used,
-    )
+    c_xy, m_used = _one_row(_score_stack, pair.x[None], pair.y[None], reference, estimator)
+    c_xy = float(c_xy[0])
+    return IgciReport(c_xy, -c_xy, _direction(c_xy), estimator, reference, int(m_used[0]))

@@ -24,15 +24,14 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .core import Direction, ReferenceFamily, SamplePair, _as_finite_vector
+from .core import Direction, ReferenceFamily, _as_finite_vector
 from .errors import (
     ConstantInputError,
     DomainError,
-    IgciError,
     SamplingStalledError,
     TooFewRowsError,
 )
-from .estimators import EstimatorKind, igci_score, spacing_entropy
+from .estimators import EstimatorKind, _direction, _score_stack, spacing_entropy
 
 __all__ = [
     "InputKind",
@@ -349,34 +348,40 @@ def _mechanism_for_rep(col_kind: MechanismKind, rng: np.random.Generator) -> Mec
     return MechanismSpec(col_kind)
 
 
+# Values per scoring block: 64 KiB of float64, below glibc's 128 KiB mmap threshold,
+# so block arrays reuse heap memory and peak RSS stays where per-pair scoring left it.
+_BLOCK_VALUES = 8192
+
+
 def _run_cells(cells, draw, m, repetitions, estimator, reference, seed) -> list:
     """Score `repetitions` draws per cell and tally the calls against x -> y.
 
     cells holds (label, path, spec) triples; repetition rep of a cell draws
-    its (x, y) with draw(spec, substream(seed, *path, rep)). Estimator
-    errors inside a repetition are tallied as undecided. Returns
-    (label, CellTally) pairs in cell order.
+    its (x, y) with draw(spec, substream(seed, *path, rep)). Each block of
+    repetitions is scored as one stack, and every row scores exactly as its
+    pair would alone. Estimator errors inside a repetition are tallied as
+    undecided. Returns (label, CellTally) pairs in cell order.
     """
     if m < 3:
         raise TooFewRowsError(f"m must be at least 3, got {m}")
     if repetitions < 1:
         raise DomainError(f"repetitions must be at least 1, got {repetitions}")
+    rows = min(repetitions, max(1, _BLOCK_VALUES // m))
+    x, y = np.empty((2, rows, m))
     results = []
     for label, path, spec in cells:
         tally = CellTally()
-        for rep in range(repetitions):
-            x, y = draw(spec, substream(seed, *path, rep))
-            try:
-                report = igci_score(SamplePair(x, y), reference, estimator)
-            except IgciError:
-                tally.undecided += 1
-                continue
-            if report.direction is Direction.X_TO_Y:
-                tally.correct += 1
-            elif report.direction is Direction.Y_TO_X:
-                tally.wrong += 1
-            else:
-                tally.undecided += 1
+        for start in range(0, repetitions, rows):
+            n = min(rows, repetitions - start)
+            for row in range(n):
+                x[row], y[row] = draw(spec, substream(seed, *path, start + row))
+            errors = {}
+            c_xy, _ = _score_stack(errors, x[:n], y[:n], reference, estimator)
+            for row, c in enumerate(c_xy.tolist()):
+                direction = Direction.UNDECIDED if row in errors else _direction(c)
+                tally.correct += direction is Direction.X_TO_Y
+                tally.wrong += direction is Direction.Y_TO_X
+                tally.undecided += direction is Direction.UNDECIDED
         results.append((label, tally))
     return results
 
@@ -482,6 +487,8 @@ def run_sine(
         return x, x + epsilon * np.sin(omega * x)
 
     chosen = tuple(dists) if dists is not None else SINE_INPUTS
+    if not chosen:
+        raise DomainError("dists must name at least one input distribution")
     cells = [(label, (i,), dist) for i, (label, dist) in enumerate(chosen)]
     return SineResult(
         entries=tuple(_run_cells(cells, draw, m, repetitions, estimator, reference, seed)),

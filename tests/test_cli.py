@@ -387,6 +387,14 @@ def test_verify_all_checks_pass(capsys):
     assert all(r["pass"] for r in records)
 
 
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_trials_below_one_is_usage(capsys, trials):
+    code, out, err = run_cli(capsys, "verify", "--check", "kl-identity", "--trials", trials, "--seed", "6")
+    assert code == EXIT_USAGE and out == ""
+    assert f"--trials must be at least 1, got {trials}" in err
+
+
 # ------------------------------------------------------------------ subprocess
 
 def test_module_entry_point_is_reproducible():

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igci import (
     AllTiedError,
@@ -10,16 +12,20 @@ from igci import (
     DataError,
     DimensionMismatchError,
     Direction,
+    IgciError,
     EstimatorKind,
     NoValidSpacingsError,
     ReferenceFamily,
     SamplePair,
     TooFewRowsError,
+    digamma,
     igci_score,
     normalize_uniform,
     slope_criterion,
     spacing_entropy,
+    standardize_gaussian,
 )
+from igci.estimators import _score_stack
 from igci.simulation import substream
 
 ENTROPY = EstimatorKind.ENTROPY_SPACING
@@ -238,3 +244,161 @@ def test_reference_shift_matches_two_score_runs(estimator):
         unif = igci_score(pair, UNIFORM, estimator).c_xy
         worst = max(worst, abs((gauss - unif) - shift))
     assert worst <= 1e-10
+
+
+# ------------------------------------------------------------- stack kernel
+#
+# Frozen copy of the one-pair scoring path that the stack kernel replaced.
+# The kernel must reproduce it row by row: equal scores and counts, or the
+# same error type and message.
+
+def _oracle_normalize(arr):
+    lo, hi = float(arr.min()), float(arr.max())
+    span = hi - lo
+    if not math.isfinite(span):
+        raise DataError(f"value range {lo!r} to {hi!r} overflows float64")
+    if hi == lo:
+        raise ConstantInputError("all values identical, range normalization undefined")
+    return (arr - lo) / span
+
+
+def _oracle_standardize(arr):
+    peak = max(-float(arr.min()), float(arr.max()))
+    if not math.isfinite(4.0 * peak * peak * arr.size):
+        raise DataError(f"values up to {peak!r} in magnitude overflow the float64 variance")
+    mean = float(arr.mean())
+    std = float(arr.std())
+    if std == 0.0:
+        raise ConstantInputError("zero variance, standardization undefined")
+    return (arr - mean) / std
+
+
+def _oracle_spacing_stat(values):
+    m = values.size
+    spacings = np.diff(np.sort(values))
+    kept = spacings[spacings > 0.0]
+    if kept.size == 0:
+        raise AllTiedError("every value is identical")
+    stat = digamma(m) - digamma(1.0) + float(np.mean(np.log(kept)))
+    return stat, int(kept.size)
+
+
+def _oracle_slope_stat(x, y):
+    order = np.lexsort((y, x))
+    dx = np.diff(x[order])
+    dy = np.diff(y[order])
+    keep = (dx != 0.0) & (dy != 0.0)
+    if not np.any(keep):
+        raise NoValidSpacingsError("every consecutive pair had a zero difference")
+    with np.errstate(all="ignore"):
+        stat = float(np.mean(np.log(np.abs(dy[keep] / dx[keep]))))
+    if not math.isfinite(stat):
+        raise DataError(
+            "mean log slope is not finite: dy/dx leaves the float range; the smallest "
+            f"spacing between sorted values is {float(np.min(dx[keep]))!r}"
+        )
+    return stat, int(np.count_nonzero(keep))
+
+
+def _oracle_score(x, y, reference, estimator):
+    prep = _oracle_normalize if reference is UNIFORM else _oracle_standardize
+    x, y = prep(x), prep(y)
+    if estimator is ENTROPY:
+        s_x, kept_x = _oracle_spacing_stat(x)
+        s_y, kept_y = _oracle_spacing_stat(y)
+        return s_y - s_x, min(kept_x, kept_y) + 1
+    forward, kept_f = _oracle_slope_stat(x, y)
+    backward, kept_b = _oracle_slope_stat(y, x)
+    return (forward - backward) / 2.0, min(kept_f, kept_b) + 1
+
+
+def _outcome(fn, *args):
+    """(value, None) or (None, (error type, message)), with warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return fn(*args), None
+        except IgciError as exc:
+            return None, (type(exc), str(exc))
+
+
+_ROW_KINDS = (
+    "continuous", "ties_x", "ties_y", "discrete", "decreasing", "noisy",
+    "constant_x", "constant_y", "staircase", "subnormal", "huge_range", "huge_values",
+)
+
+
+def _kernel_row(kind, m, rng):
+    x = rng.random(m)
+    if kind == "continuous":
+        return x, np.sqrt(x)
+    if kind == "ties_x":
+        x = np.floor(x * 4.0)
+        return x, rng.random(m)
+    if kind == "ties_y":
+        return x, np.round(x ** 2, 1)
+    if kind == "discrete":
+        x = rng.integers(0, 5, m).astype(float)
+        return x, x ** 2 + rng.integers(0, 2, m)
+    if kind == "decreasing":
+        return x, 1.0 - x ** 3
+    if kind == "noisy":
+        return x, x + 0.3 * rng.standard_normal(m)
+    if kind == "constant_x":
+        return np.full(m, 0.25), x
+    if kind == "constant_y":
+        return x, np.full(m, 2.0)
+    if kind == "staircase":
+        # (i, i), (i, i + 1): every consecutive pair has dx == 0 or dy == 0
+        steps = np.arange(m) // 2
+        return steps.astype(float), (steps + np.arange(m) % 2).astype(float)
+    if kind == "subnormal":
+        x[:3] = (0.0, 5e-324, 1.0)
+        return x, rng.random(m)
+    if kind == "huge_range":
+        x[:2] = (-1e308, 1e308)
+        return x, rng.random(m)
+    return x, 1e160 * x  # the Gaussian reference's variance overflows
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(3, 300),
+    kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=9),
+    seed=st.integers(0, 2**32 - 1),
+    reference=st.sampled_from([UNIFORM, GAUSSIAN]),
+    estimator=st.sampled_from([ENTROPY, SLOPE]),
+)
+def test_stack_kernel_matches_one_pair_path(m, kinds, seed, reference, estimator):
+    rng = np.random.default_rng(seed)
+    rows = [_kernel_row(kind, m, rng) for kind in kinds]
+    x = np.array([r[0] for r in rows])
+    y = np.array([r[1] for r in rows])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        errors = {}
+        c_xy, m_used = _score_stack(errors, x, y, reference, estimator)
+    for i, (xi, yi) in enumerate(rows):
+        want, want_error = _outcome(_oracle_score, xi, yi, reference, estimator)
+        got_error = (type(errors[i]), str(errors[i])) if i in errors else None
+        assert got_error == want_error
+        if want_error is None:
+            assert (c_xy[i], m_used[i]) == want
+    # igci_score and the public statistics and mappings are the one-row case
+    xi, yi = rows[0]
+    report, error = _outcome(igci_score, SamplePair(xi, yi), reference, estimator)
+    want, want_error = _outcome(_oracle_score, xi, yi, reference, estimator)
+    assert error == want_error
+    if want_error is None:
+        assert (report.c_xy, report.m_used) == want and type(report.c_xy) is float
+    for public, oracle, args in (
+        (normalize_uniform, _oracle_normalize, (xi,)),
+        (lambda v: standardize_gaussian(v)[0], _oracle_standardize, (xi,)),
+        (spacing_entropy, lambda v: _oracle_spacing_stat(v)[0], (xi,)),
+        (slope_criterion, lambda a, b: _oracle_slope_stat(a, b)[0], (xi, yi)),
+    ):
+        got, got_error = _outcome(public, *args)
+        want, want_error = _outcome(oracle, *args)
+        assert got_error == want_error
+        if want_error is None:
+            assert np.array_equal(got, want) and type(got) is type(want)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from igci import (
     TooFewRowsError,
     apply_mechanism,
     estimate_fisher_information,
+    format_json_lines,
     igci_score,
     noise_variance_budget,
     run_grid,
@@ -249,6 +251,73 @@ def test_run_grid_slope_estimator_runs():
     assert all(t.total == 2 for t in result.cells.values())
 
 
+_SLOPE = EstimatorKind.SLOPE_INTEGRAL
+_GAUSSIAN = ReferenceFamily.GAUSSIAN
+
+# sha256 of format_json_lines(result.to_records()) for small seeded runs.
+# Seeded simulate output is part of the reproducibility contract, so these
+# digests only change when the draws or the scores are meant to change. The
+# m=3 and m=4 runs each hold two repetitions that raise (a saturated CDF
+# mixture leaves y constant) and are tallied as undecided.
+_GOLDEN_SIMULATE = {
+    "grid-entropy-uniform": (
+        lambda: run_grid(m=200, repetitions=8, seed=3),
+        "7a8b3371ead1075e1c3bc45f20327dc97258c3675a1b6f097ae6e23ddc14d012",
+    ),
+    "grid-entropy-gaussian": (
+        lambda: run_grid(m=200, repetitions=8, seed=3, reference=_GAUSSIAN),
+        "699879d4d58f673de31fa0c5b32815c7e6ee83d96cc3657be6162b5d7ce12cad",
+    ),
+    "grid-slope-uniform": (
+        lambda: run_grid(m=200, repetitions=8, seed=3, estimator=_SLOPE),
+        "503d0e76a01f5d811450650cff6d6462ce8a584e55b7fc49f895780725165832",
+    ),
+    "grid-slope-gaussian": (
+        lambda: run_grid(m=200, repetitions=8, seed=3, estimator=_SLOPE, reference=_GAUSSIAN),
+        "c956fb0716264944357e66881ec35156fd7451e32c8e9d24974eb9209b52c852",
+    ),
+    "grid-normal-noise": (
+        lambda: run_grid(NoiseSpec(NoiseKind.STD_NORMAL, 0.03), m=200, repetitions=8, seed=4),
+        "a5745b2558378eab6df20a09dc3c1cf514e3c5a723604b010e1b0dcfdc84a880",
+    ),
+    "grid-uniform-noise": (
+        lambda: run_grid(NoiseSpec(NoiseKind.UNIFORM_UNIT, 0.05), m=200, repetitions=8, seed=4, estimator=_SLOPE),
+        "c571c714ce995980098d700020a0594202831416d81180c3b8e3b867d3ff2941",
+    ),
+    "grid-laplace-noise": (
+        lambda: run_grid(NoiseSpec(NoiseKind.LAPLACE, 0.1), m=200, repetitions=8, seed=4, reference=_GAUSSIAN),
+        "cf60fba7cc23ab54a46e7d5fa4e4a9b50e4138a61e9869268c6a23c45afbb105",
+    ),
+    "sine-entropy": (
+        lambda: run_sine(m=200, repetitions=8, seed=5),
+        "ee13536c36f762d7e2599b78a1944ca835ae3be4ebc5814847b9095da3075342",
+    ),
+    "sine-slope": (
+        lambda: run_sine(m=200, repetitions=8, seed=5, estimator=_SLOPE),
+        "e39c83ad6f6488eea4be947e09ee9fce86dd0d316acaa38fa3a7bf0ba288f42b",
+    ),
+    "grid-m3-entropy": (
+        lambda: run_grid(m=3, repetitions=8, seed=100),
+        "d7a8deb8feed8fdf30efd977d6bc7d96402d855ccff1f71162b3d7403a761a3b",
+    ),
+    "grid-m3-slope": (
+        lambda: run_grid(m=3, repetitions=8, seed=100, estimator=_SLOPE),
+        "06bf54bdd8c26703f9e0bf33d29dbc31f8010599cec44982dfb28af3ea070d73",
+    ),
+    "grid-m4-slope-gaussian": (
+        lambda: run_grid(m=4, repetitions=8, seed=100, estimator=_SLOPE, reference=_GAUSSIAN),
+        "4d69f0d68aba37ce33ed2c1c275f211bd449cf67e42fdbb65197fd5b993a0edc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_SIMULATE))
+def test_simulate_records_match_golden_digest(name):
+    run, digest = _GOLDEN_SIMULATE[name]
+    text = format_json_lines(run().to_records())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # ------------------------------------------------------------ sine experiment
 
 def test_run_sine_zero_flutter_is_all_undecided():
@@ -277,6 +346,11 @@ def test_run_sine_custom_inputs():
     label, tally = result.entries[0]
     assert label == "u" and tally.total == 3
 
+
+
+def test_run_sine_without_inputs_is_a_domain_error():
+    with pytest.raises(DomainError, match="dists must name at least one input distribution"):
+        run_sine(dists=[], m=50, repetitions=2)
 
 def test_run_sine_parameter_guards():
     with pytest.raises(DomainError):
