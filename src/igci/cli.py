@@ -91,14 +91,19 @@ def _add_seed_flag(sub: argparse.ArgumentParser) -> None:
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
+        if args.seed < 0:
+            raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
         return args.seed
     env = os.environ.get("IGCI_SEED")
     if env is None:
         return 0
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise _UsageError(f"IGCI_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise _UsageError(f"IGCI_SEED must be nonnegative, got {env!r}")
+    return seed
 
 
 def _scoring(args) -> tuple:

@@ -86,14 +86,20 @@ def _mean_logs(values: np.ndarray, keep: np.ndarray, kept: np.ndarray) -> np.nda
 
 def _spacing_stat(errors: dict, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of an (n, m) stack: (entropy estimate, number of retained spacings)."""
-    spacings = np.diff(np.sort(values, axis=1), axis=1)
+    with np.errstate(over="ignore"):
+        spacings = np.diff(np.sort(values, axis=1), axis=1)
     positive = spacings > 0.0
     kept = np.count_nonzero(positive, axis=1)
     for i in np.flatnonzero(kept == 0).tolist():
         errors.setdefault(i, AllTiedError("every value is identical"))
     # Zero spacings are dropped and the divisor shrinks with them; the
     # digamma terms keep the full sample size.
-    return digamma(values.shape[1]) - digamma(1.0) + _mean_logs(spacings, positive, kept), kept
+    stat = digamma(values.shape[1]) - digamma(1.0) + _mean_logs(spacings, positive, kept)
+    for i in np.flatnonzero(~np.isfinite(stat) & (kept > 0)).tolist():
+        errors.setdefault(i, DataError(
+            "spacing entropy is not finite: a gap between neighbouring sorted values "
+            f"overflows float64; the values range from {float(values[i].min())!r} to {float(values[i].max())!r}"))
+    return stat, kept
 
 
 def spacing_entropy(values) -> float:
@@ -104,16 +110,23 @@ def spacing_entropy(values) -> float:
     return float(_one_row(_spacing_stat, arr[None])[0][0])
 
 
-def _slope_stat(errors: dict, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of two (n, m) stacks: (mean log |dy/dx| along sorted x, retained count)."""
-    order = np.argsort(x, axis=1)
-    row_start = np.arange(0, x.size, x.shape[1])[:, None]  # flat index of each row's first value
-    dx = np.diff(np.take(x, order + row_start), axis=1)
+def _sorted_diffs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of two (n, m) stacks: the consecutive differences of x and of y
+    along the x order, with ties in x broken by ascending y."""
+    m = x.shape[1]
+    flat = np.argsort(x, axis=1)
+    flat += np.arange(0, x.size, m)[:, None]  # flat indices into the stack
+    dx = np.diff(np.take(x, flat), axis=1)
     # Tied x must be ordered by ascending y, which argsort does not promise;
     # tied values are equal, so dx stands.
     for i in np.flatnonzero((dx == 0.0).any(axis=1)).tolist():
-        order[i] = np.lexsort((y[i], x[i]))
-    dy = np.diff(np.take(y, order + row_start), axis=1)
+        flat[i] = np.lexsort((y[i], x[i])) + i * m
+    return dx, np.diff(np.take(y, flat), axis=1)
+
+
+def _slope_stat(errors: dict, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of two (n, m - 1) stacks of differences along sorted x:
+    (mean log |dy/dx|, retained count)."""
     keep = (dx != 0.0) & (dy != 0.0)
     kept = np.count_nonzero(keep, axis=1)
     with np.errstate(all="ignore"):
@@ -125,6 +138,28 @@ def _slope_stat(errors: dict, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray,
             "mean log slope is not finite: dy/dx leaves the float range; the smallest "
             f"spacing between sorted values is {float(np.min(dx[i][keep[i]]))!r}"))
     return stat, kept
+
+
+def _backward_diffs(x: np.ndarray, y: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_sorted_diffs(y, x) given the forward differences dx, dy along sorted x.
+
+    Where y strictly increases along the forward order, that order sorts y
+    and the differences swap roles; where it strictly decreases, the reverse
+    order does, and each difference is the negated forward one, exactly.
+    Only the remaining rows are sorted again.
+    """
+    up = (dy > 0.0).all(axis=1)
+    if up.all():
+        return dy, dx
+    down = (dy < 0.0).all(axis=1)
+    back_dx, back_dy = np.empty_like(dy), np.empty_like(dx)
+    back_dx[up], back_dy[up] = dy[up], dx[up]
+    # Negating copies the reversed rows, so later reductions run in y order.
+    back_dx[down], back_dy[down] = -dy[down, ::-1], -dx[down, ::-1]
+    rest = np.flatnonzero(~(up | down))
+    if rest.size:
+        back_dx[rest], back_dy[rest] = _sorted_diffs(y[rest], x[rest])
+    return back_dx, back_dy
 
 
 def slope_criterion(x, y) -> float:
@@ -139,7 +174,7 @@ def slope_criterion(x, y) -> float:
         raise DimensionMismatchError(f"x has {xa.size} rows, y has {ya.size}")
     if xa.size < 2:
         raise TooFewRowsError(f"need at least 2 paired rows, got {xa.size}")
-    return float(_one_row(_slope_stat, xa[None], ya[None])[0][0])
+    return float(_one_row(_slope_stat, *_sorted_diffs(xa[None], ya[None]))[0][0])
 
 
 def _score_stack(errors: dict, x: np.ndarray, y: np.ndarray, reference: ReferenceFamily, estimator: EstimatorKind):
@@ -154,8 +189,9 @@ def _score_stack(errors: dict, x: np.ndarray, y: np.ndarray, reference: Referenc
         s_x, kept_x = _spacing_stat(errors, x)
         s_y, kept_y = _spacing_stat(errors, y)
         return s_y - s_x, np.minimum(kept_x, kept_y) + 1
-    forward, kept_f = _slope_stat(errors, x, y)
-    backward, kept_b = _slope_stat(errors, y, x)
+    dx, dy = _sorted_diffs(x, y)
+    forward, kept_f = _slope_stat(errors, dx, dy)
+    backward, kept_b = _slope_stat(errors, *_backward_diffs(x, y, dx, dy))
     # Half the difference: the reverse term compensates the divergence
     # both terms share once noise makes the relation non-functional.
     return (forward - backward) / 2.0, np.minimum(kept_f, kept_b) + 1
@@ -165,6 +201,12 @@ def _direction(c_xy: float) -> Direction:
     if c_xy < -DECISION_TOL:
         return Direction.X_TO_Y
     return Direction.Y_TO_X if c_xy > DECISION_TOL else Direction.UNDECIDED
+
+
+def _direction_counts(c_xy: np.ndarray) -> tuple[int, int]:
+    """(x -> y calls, y -> x calls) among scores, by _direction's rule; the
+    rest, NaN included, are undecided."""
+    return int(np.count_nonzero(c_xy < -DECISION_TOL)), int(np.count_nonzero(c_xy > DECISION_TOL))
 
 
 def igci_score(

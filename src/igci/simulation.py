@@ -19,19 +19,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .core import Direction, ReferenceFamily, _as_finite_vector
+from .core import ReferenceFamily, _as_finite_vector
 from .errors import (
     ConstantInputError,
     DomainError,
     SamplingStalledError,
     TooFewRowsError,
 )
-from .estimators import EstimatorKind, _direction, _score_stack, spacing_entropy
+from .estimators import EstimatorKind, _direction_counts, _score_stack, spacing_entropy
 
 __all__ = [
     "InputKind",
@@ -70,6 +71,71 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# numpy's SeedSequence hash: pool size 4, constants of its hashmix, mix and generate_state.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# Repetitions whose Philox keys are hashed in one pass.
+_KEY_BATCH = 1024
+
+
+def _words(n: int) -> list:
+    """n as little-endian 32-bit words, as SeedSequence splits an integer."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _philox_keys(seed: int, path: tuple, reps: range) -> np.ndarray:
+    """Philox key of substream(seed, *path, rep) for each rep in reps, as a
+    (len(reps), 2) uint64 array: SeedSequence(seed, spawn_key=(*path, rep))
+    .generate_state(2, np.uint64), with the rep word hashed for all reps at once.
+
+    The words before the rep are Python ints and the rep word is a uint32
+    array; the hash masks every product to 32 bits, so it serves both.
+    """
+    if reps.stop > 2**32:
+        raise DomainError(f"repetitions must stay below 2**32, got {reps.stop}")
+    run = _words(int(seed))
+    # With a spawn key present, SeedSequence pads the run entropy to the pool size.
+    entropy = run + [0] * (_POOL_SIZE - len(run)) + [w for p in path for w in _words(int(p))]
+    entropy.append(np.arange(reps.start, reps.stop, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = np.empty((len(reps), _POOL_SIZE), dtype=np.uint64)
+    for i, word in enumerate(pool):
+        word = word ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * hash_const & _MASK32
+        state[:, i] = word ^ word >> 16
+    # generate_state(2, np.uint64) joins the four words little-endian.
+    return state[:, 0::2] | state[:, 1::2] << 32
 
 
 class InputKind(Enum):
@@ -173,6 +239,8 @@ class CdfMixParams:
 # Widths below this are floored when drawing random mixture parameters so
 # the mechanism stays resolvable at benchmark sample sizes.
 _MIN_CDF_WIDTH = 1e-4
+# Components of a random CDF mixture.
+_CDF_COMPONENTS = 5
 
 
 @dataclass(frozen=True)
@@ -185,17 +253,47 @@ class MechanismSpec:
             raise ValueError("cdf_mix parameters are required exactly when kind is CDF_MIX")
 
     @staticmethod
-    def random_cdf_mix(rng: np.random.Generator, components: int = 5) -> "MechanismSpec":
+    def random_cdf_mix(rng: np.random.Generator, components: int = _CDF_COMPONENTS) -> "MechanismSpec":
         """Fresh random CDF-mixture mechanism: normalized uniform weights,
         uniform locations, widths uniform on [0, 0.1] floored at 1e-4."""
-        raw = rng.random(components)
-        weights = raw / raw.sum()
-        means = rng.random(components)
-        widths = np.maximum(rng.random(components) * 0.1, _MIN_CDF_WIDTH)
-        return MechanismSpec(
-            MechanismKind.CDF_MIX,
-            CdfMixParams(tuple(weights), tuple(means), tuple(widths)),
-        )
+        params = np.empty((3, components))
+        _draw_cdf_mix(rng, params)
+        return MechanismSpec(MechanismKind.CDF_MIX, CdfMixParams(*map(tuple, params)))
+
+
+def _draw_cdf_mix(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Draw random_cdf_mix's weights, means and widths into the rows of out."""
+    raw = rng.random(out.shape[1])
+    out[0] = raw / raw.sum()
+    out[1] = rng.random(out.shape[1])
+    out[2] = np.maximum(rng.random(out.shape[1]) * 0.1, _MIN_CDF_WIDTH)
+
+
+def _mechanism_rows(kind: MechanismKind, x: np.ndarray, cdf_mix: Optional[np.ndarray] = None) -> np.ndarray:
+    """A mechanism of the given kind on each row of an (n, m) stack in [0, 1].
+
+    For CDF_MIX, cdf_mix holds each row's weights, means and widths, shape
+    (3, n, components); components are summed in order, as one row would be.
+    """
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+        raise DomainError("mechanism inputs must lie in [0, 1]")
+    if kind is MechanismKind.CUBE_ROOT:
+        return np.cbrt(x)
+    if kind is MechanismKind.SQRT:
+        return np.sqrt(x)
+    if kind is MechanismKind.SQUARE:
+        return x * x
+    if kind is MechanismKind.CUBE:
+        return x * x * x
+    out = np.zeros_like(x)
+    for w, mu, sd in zip(*cdf_mix.transpose(0, 2, 1)[..., None]):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = ndtr((x - mu) / sd)
+        steps = sd[:, 0] == 0.0
+        if steps.any():
+            term[steps] = x[steps] >= mu[steps]
+        out += w * term
+    return out
 
 
 def apply_mechanism(spec: MechanismSpec, x) -> np.ndarray:
@@ -206,25 +304,9 @@ def apply_mechanism(spec: MechanismSpec, x) -> np.ndarray:
     as steps).
     """
     arr = _as_finite_vector(x, "x")
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise DomainError("mechanism inputs must lie in [0, 1]")
-    kind = spec.kind
-    if kind is MechanismKind.CUBE_ROOT:
-        return np.cbrt(arr)
-    if kind is MechanismKind.SQRT:
-        return np.sqrt(arr)
-    if kind is MechanismKind.SQUARE:
-        return arr * arr
-    if kind is MechanismKind.CUBE:
-        return arr * arr * arr
     params = spec.cdf_mix
-    out = np.zeros_like(arr)
-    for w, mu, sd in zip(params.weights, params.means, params.widths):
-        if sd == 0.0:
-            out += w * (arr >= mu).astype(np.float64)
-        else:
-            out += w * ndtr((arr - mu) / sd)
-    return out
+    cdf_mix = None if params is None else np.array([params.weights, params.means, params.widths])[:, None]
+    return _mechanism_rows(spec.kind, arr[None], cdf_mix)[0]
 
 
 class NoiseKind(Enum):
@@ -342,46 +424,60 @@ class SimGridResult:
         return records
 
 
-def _mechanism_for_rep(col_kind: MechanismKind, rng: np.random.Generator) -> MechanismSpec:
-    if col_kind is MechanismKind.CDF_MIX:
-        return MechanismSpec.random_cdf_mix(rng)
-    return MechanismSpec(col_kind)
-
-
 # Values per scoring block: 64 KiB of float64, below glibc's 128 KiB mmap threshold,
 # so block arrays reuse heap memory and peak RSS stays where per-pair scoring left it.
 _BLOCK_VALUES = 8192
+
+
+def _streams(seed: int, path: tuple, repetitions: int):
+    """Yield substream(seed, *path, rep) for rep = 0, 1, ... in turn, as one
+    Generator whose Philox is re-keyed for each: a zero counter, an empty
+    buffer and the key that substream would derive give the same stream."""
+    rng = np.random.Generator(np.random.Philox(0))
+    zeros = np.zeros(4, dtype=np.uint64)
+    for start in range(0, repetitions, _KEY_BATCH):
+        for key in _philox_keys(seed, path, range(start, min(start + _KEY_BATCH, repetitions))):
+            rng.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": zeros, "key": key},
+                "buffer": zeros,
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
 
 
 def _run_cells(cells, draw, m, repetitions, estimator, reference, seed) -> list:
     """Score `repetitions` draws per cell and tally the calls against x -> y.
 
     cells holds (label, path, spec) triples; repetition rep of a cell draws
-    its (x, y) with draw(spec, substream(seed, *path, rep)). Each block of
-    repetitions is scored as one stack, and every row scores exactly as its
-    pair would alone. Estimator errors inside a repetition are tallied as
-    undecided. Returns (label, CellTally) pairs in cell order.
+    from substream(seed, *path, rep). Repetitions are drawn and scored in
+    blocks: draw(spec, streams, x) fills row i of the block x from the i-th
+    generator of streams and returns the block's y. Every row scores exactly
+    as its pair would alone. Estimator errors inside a repetition are
+    tallied as undecided. Returns (label, CellTally) pairs in cell order.
     """
     if m < 3:
         raise TooFewRowsError(f"m must be at least 3, got {m}")
     if repetitions < 1:
         raise DomainError(f"repetitions must be at least 1, got {repetitions}")
     rows = min(repetitions, max(1, _BLOCK_VALUES // m))
-    x, y = np.empty((2, rows, m))
+    x = np.empty((rows, m))
     results = []
     for label, path, spec in cells:
         tally = CellTally()
+        streams = _streams(seed, path, repetitions)
         for start in range(0, repetitions, rows):
-            n = min(rows, repetitions - start)
-            for row in range(n):
-                x[row], y[row] = draw(spec, substream(seed, *path, start + row))
+            block = x[: min(rows, repetitions - start)]
+            y = draw(spec, islice(streams, len(block)), block)
             errors = {}
-            c_xy, _ = _score_stack(errors, x[:n], y[:n], reference, estimator)
-            for row, c in enumerate(c_xy.tolist()):
-                direction = Direction.UNDECIDED if row in errors else _direction(c)
-                tally.correct += direction is Direction.X_TO_Y
-                tally.wrong += direction is Direction.Y_TO_X
-                tally.undecided += direction is Direction.UNDECIDED
+            c_xy, _ = _score_stack(errors, block, y, reference, estimator)
+            c_xy[list(errors)] = np.nan  # void scores are undecided
+            x_to_y, y_to_x = _direction_counts(c_xy)
+            tally.correct += x_to_y
+            tally.wrong += y_to_x
+            tally.undecided += len(block) - x_to_y - y_to_x
         results.append((label, tally))
     return results
 
@@ -403,14 +499,20 @@ def run_grid(
     tallied as undecided.
     """
 
-    def draw(spec, rng):
-        dist, col_kind = spec
-        mechanism = _mechanism_for_rep(col_kind, rng)
-        x = sample_input(dist, m, rng)
-        y = apply_mechanism(mechanism, x)
-        if noise.kind is not NoiseKind.NONE:
-            y = y + noise.lam * _sample_noise(noise, m, rng)
-        return x, y
+    def draw(spec, streams, x):
+        dist, kind = spec
+        cdf_mix = np.empty((3, len(x), _CDF_COMPONENTS)) if kind is MechanismKind.CDF_MIX else None
+        eps = np.empty_like(x) if noise.kind is not NoiseKind.NONE else None
+        for row, rng in enumerate(streams):
+            if cdf_mix is not None:
+                _draw_cdf_mix(rng, cdf_mix[:, row])
+            x[row] = sample_input(dist, m, rng)
+            if eps is not None:
+                eps[row] = _sample_noise(noise, m, rng)
+        y = _mechanism_rows(kind, x, cdf_mix)
+        if eps is not None:
+            y += noise.lam * eps
+        return y
 
     cells = [
         ((row_label, col_label), (i, j), (dist, col_kind))
@@ -482,9 +584,10 @@ def run_sine(
     if epsilon * omega >= 1.0:
         raise DomainError(f"epsilon * omega = {epsilon * omega!r} must stay below 1 to keep the map increasing")
 
-    def draw(dist, rng):
-        x = sample_input(dist, m, rng, truncate=False)
-        return x, x + epsilon * np.sin(omega * x)
+    def draw(dist, streams, x):
+        for row, rng in enumerate(streams):
+            x[row] = sample_input(dist, m, rng, truncate=False)
+        return x + epsilon * np.sin(omega * x)
 
     chosen = tuple(dists) if dists is not None else SINE_INPUTS
     if not chosen:

@@ -182,6 +182,19 @@ def test_simulate_sine_runs_and_guards(capsys):
     assert "numeric error" in err
 
 
+@pytest.mark.parametrize("command", [["simulate", "--m", "50", "--reps", "2"], ["verify", "--check", "kl-identity", "--trials", "2"]])
+@pytest.mark.parametrize("seed_from", ["flag", "env"])
+def test_negative_seed_is_usage(capsys, monkeypatch, command, seed_from):
+    if seed_from == "flag":
+        command = [*command, "--seed", "-1"]
+    else:
+        monkeypatch.setenv("IGCI_SEED", "-3")
+    code, out, err = run_cli(capsys, *command)
+    assert code == EXIT_USAGE and out == ""
+    want = "--seed must be nonnegative, got -1" if seed_from == "flag" else "IGCI_SEED must be nonnegative, got '-3'"
+    assert err == f"igci: error: {want}\n"
+
+
 @pytest.mark.parametrize("experiment", ["grid", "sine"])
 def test_simulate_zero_reps_is_a_numeric_error(capsys, experiment):
     code, out, err = run_cli(capsys, "simulate", "--experiment", experiment, "--reps", "0")

@@ -25,7 +25,7 @@ from igci import (
     spacing_entropy,
     standardize_gaussian,
 )
-from igci.estimators import _score_stack
+from igci.estimators import _backward_diffs, _score_stack, _sorted_diffs
 from igci.simulation import substream
 
 ENTROPY = EstimatorKind.ENTROPY_SPACING
@@ -76,6 +76,15 @@ def test_spacing_entropy_errors():
         spacing_entropy([3.0, 3.0, 3.0])
     with pytest.raises(TooFewRowsError):
         spacing_entropy([3.0])
+
+
+def test_spacing_entropy_overflowing_spacing_is_a_data_error():
+    # the one spacing, 1e308 - (-1e308), overflows float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="spacing entropy is not finite") as info:
+            spacing_entropy([-1e308, 1e308])
+    assert type(info.value) is DataError
 
 
 # ------------------------------------------------------------ slope criterion
@@ -219,6 +228,22 @@ def test_igci_score_slope_names_a_subnormal_spacing(swap):
         warnings.simplefilter("error")
         with pytest.raises(DataError, match="not finite.*5e-324"):
             igci_score(pair, estimator=SLOPE)
+
+
+def test_backward_diffs_reuse_the_forward_order():
+    rng = substream(34)
+    x = rng.random((5, 40))
+    x[1] = np.arange(40) // 4  # tied x; y increases along the order that breaks ties by y
+    y = np.array([np.sqrt(x[0]), np.arange(40.0), 1.0 - x[2] ** 3, x[3] + 0.3 * rng.standard_normal(40), np.round(x[4], 1)])
+    dx, dy = _sorted_diffs(x, y)
+    assert [(d > 0).all() for d in dy] == [True, True, False, False, False]
+    assert [(d < 0).all() for d in dy] == [False, False, True, False, False]
+    want_dx, want_dy = _sorted_diffs(y, x)
+    got_dx, got_dy = _backward_diffs(x, y, dx, dy)
+    assert np.array_equal(got_dx, want_dx) and np.array_equal(got_dy, want_dy)
+    assert got_dx.flags.c_contiguous and got_dy.flags.c_contiguous
+    # the decreasing row's reversed differences, negated, are the backward ones
+    assert np.array_equal(got_dx[2], -dy[2, ::-1])
 
 
 def test_igci_score_constant_variable():

@@ -1,13 +1,17 @@
 import hashlib
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from igci import (
     CdfMixParams,
     CellTally,
     ConstantInputError,
+    DataError,
     Direction,
     DomainError,
     EstimatorKind,
@@ -48,6 +52,37 @@ def test_substream_is_reproducible_and_path_sensitive():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+@pytest.mark.parametrize("seed", [0, 31, 2**32 + 5, 2**70 + 3])
+@pytest.mark.parametrize("path", [(3,), (0, 0), (1, 2), (4, 4)])
+def test_philox_keys_match_seed_sequence(seed, path):
+    keys = sim._philox_keys(seed, path, range(300))
+    want = [np.random.SeedSequence(seed, spawn_key=(*path, rep)).generate_state(2, np.uint64) for rep in range(300)]
+    assert keys.dtype == np.uint64 and np.array_equal(keys, want)
+
+
+def test_philox_keys_guards():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        sim._philox_keys(-1, (0, 0), range(3))
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.SeedSequence(-1)
+    last = range(2**32 - 3, 2**32)
+    want = [np.random.SeedSequence(7, spawn_key=(1, rep)).generate_state(2, np.uint64) for rep in last]
+    assert np.array_equal(sim._philox_keys(7, (1,), last), want)
+    with pytest.raises(DomainError, match=r"below 2\*\*32"):
+        sim._philox_keys(7, (1,), range(2**32 - 3, 2**32 + 1))
+
+
+@pytest.mark.parametrize("path", [(2,), (0, 4)])
+def test_rekeyed_streams_are_the_substreams(path):
+    for rep, rng in enumerate(sim._streams(11, path, 5)):
+        want = substream(11, *path, rep)
+        assert np.array_equal(rng.random(7), want.random(7))
+        assert np.array_equal(rng.normal(0.5, 0.2, 9), want.normal(0.5, 0.2, 9))
+        assert np.array_equal(rng.laplace(0.0, 0.2, 5), want.laplace(0.0, 0.2, 5))
+        assert rng.random() == want.random()
+    assert rep == 4
 
 
 # ------------------------------------------------------------- input sampling
@@ -135,6 +170,21 @@ def test_cdf_mixture_zero_width_becomes_step():
     spec = MechanismSpec(MechanismKind.CDF_MIX, CdfMixParams((1.0,), (0.5,), (0.0,)))
     out = apply_mechanism(spec, [0.4, 0.5, 0.6])
     assert out.tolist() == [0.0, 1.0, 1.0]
+
+
+def test_cdf_mixture_matches_the_per_component_formula():
+    params = CdfMixParams((0.2, 0.5, 0.3), (0.3, 0.5, 0.8), (0.05, 0.0, 0.01))
+    x = np.concatenate([np.linspace(0.0, 1.0, 101), substream(81).random(200)])
+    want = np.zeros_like(x)
+    for w, mu, sd in zip(params.weights, params.means, params.widths):
+        want += w * ((x >= mu).astype(np.float64) if sd == 0.0 else ndtr((x - mu) / sd))
+    spec = MechanismSpec(MechanismKind.CDF_MIX, params)
+    assert np.array_equal(apply_mechanism(spec, x), want)
+    # in a block, only the rows whose component has zero width take the step
+    other = CdfMixParams((0.3, 0.3, 0.4), (0.5, 0.1, 0.9), (0.02, 0.05, 0.01))
+    block = np.array([[p.weights, p.means, p.widths] for p in (params, other)]).transpose(1, 0, 2)
+    got = sim._mechanism_rows(MechanismKind.CDF_MIX, np.array([x, x]), block)
+    assert np.array_equal(got, [want, apply_mechanism(MechanismSpec(MechanismKind.CDF_MIX, other), x)])
 
 
 def test_cdf_mix_params_validation():
@@ -236,6 +286,74 @@ def test_run_grid_replicates_documented_draw_order():
             expected.undecided += 1
     got = result.cells[("A", "e")]
     assert (got.correct, got.wrong, got.undecided) == (expected.correct, expected.wrong, expected.undecided)
+
+
+def _recorded_blocks(monkeypatch, run):
+    """(x, y) stacks of every block that run() scores, concatenated in scoring order."""
+    blocks = []
+    score = sim._score_stack
+
+    def recording(errors, x, y, reference, estimator):
+        blocks.append((x.copy(), y.copy()))
+        return score(errors, x, y, reference, estimator)
+
+    monkeypatch.setattr(sim, "_score_stack", recording)
+    run()
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+
+
+_NOISE_DRAWS = {
+    NoiseKind.UNIFORM_UNIT: lambda rng, m: rng.random(m),
+    NoiseKind.STD_NORMAL: lambda rng, m: rng.standard_normal(m),
+    NoiseKind.LAPLACE: lambda rng, m: rng.laplace(0.0, 0.2, m),
+}
+
+
+@pytest.mark.parametrize("noise", [NoiseSpec(), *(NoiseSpec(kind, 0.05) for kind in _NOISE_DRAWS)])
+def test_block_draws_equal_the_documented_draw(monkeypatch, noise):
+    m, reps = 60, 5
+    monkeypatch.setattr(sim, "_BLOCK_VALUES", 2 * m)  # blocks of 2, 2 and 1 repetitions
+    x, y = _recorded_blocks(monkeypatch, lambda: run_grid(noise, m=m, repetitions=reps, seed=41))
+    want_x, want_y = [], []
+    for i, (_, dist) in enumerate(sim.GRID_INPUTS):
+        for j, (_, kind) in enumerate(sim.GRID_MECHANISMS):
+            for rep in range(reps):
+                rng = substream(41, i, j, rep)
+                spec = MechanismSpec.random_cdf_mix(rng) if kind is MechanismKind.CDF_MIX else MechanismSpec(kind)
+                xr = sample_input(dist, m, rng)
+                yr = apply_mechanism(spec, xr)
+                if noise.kind is not NoiseKind.NONE:
+                    yr = yr + noise.lam * _NOISE_DRAWS[noise.kind](rng, m)
+                want_x.append(xr)
+                want_y.append(yr)
+    assert np.array_equal(x, want_x) and np.array_equal(y, want_y)
+
+
+def test_sine_block_draws_equal_the_documented_draw(monkeypatch):
+    m, reps = 60, 5
+    monkeypatch.setattr(sim, "_BLOCK_VALUES", 2 * m)
+    x, y = _recorded_blocks(monkeypatch, lambda: run_sine(m=m, repetitions=reps, seed=42))
+    want_x = [
+        sample_input(dist, m, substream(42, i, rep), truncate=False)
+        for i, (_, dist) in enumerate(sim.SINE_INPUTS)
+        for rep in range(reps)
+    ]
+    assert np.array_equal(x, want_x)
+    assert np.array_equal(y, [xr + 0.005 * np.sin(40.0 * xr) for xr in want_x])
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_grid(NoiseSpec(NoiseKind.STD_NORMAL, 0.03), m=60, repetitions=5, seed=43),
+        lambda: run_grid(m=60, repetitions=5, seed=43, estimator=EstimatorKind.SLOPE_INTEGRAL),
+        lambda: run_sine(m=60, repetitions=5, seed=43, estimator=EstimatorKind.SLOPE_INTEGRAL),
+    ],
+)
+def test_one_row_blocks_give_the_same_records(monkeypatch, run):
+    blocked = run().to_records()
+    monkeypatch.setattr(sim, "_BLOCK_VALUES", 60)
+    assert run().to_records() == blocked
 
 
 def test_run_grid_validation():
@@ -425,6 +543,13 @@ def test_verify_noise_bound_fisher_override_and_guards():
         verify_noise_bound(x, sigma_levels=(0.0,), rng_seed=26, fisher=1.0)
     with pytest.raises(DomainError):
         verify_noise_bound(x, rng_seed=26, fisher=-2.0)
+
+
+def test_verify_noise_bound_overflowing_spacing_is_a_data_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="spacing entropy is not finite"):
+            verify_noise_bound([-1e308, 1e308], fisher=1.0)
 
 
 def test_verify_noise_bound_is_reproducible():

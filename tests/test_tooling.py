@@ -1,6 +1,8 @@
 """The package's surface: exports resolve and the report scripts run."""
 
+import hashlib
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import igci
+from igci.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,3 +55,16 @@ def test_report_scripts_run():
         proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, f"{script.name}: {proc.stderr}"
         assert proc.stdout
+
+
+def test_simulate_grid_benchmark_stdout_matches_its_digest(capsys, monkeypatch):
+    # The benchmark's own record of the seed-0 simulate-grid stdout, read from its file.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    argv = ["simulate", "--experiment", "grid", "--m", str(workloads.GRID_M), "--reps", str(workloads.GRID_REPS),
+            "--estimator", "slope", "--seed", "0"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == workloads.GRID_STDOUT_SHA256[0]
