@@ -203,12 +203,6 @@ def _direction(c_xy: float) -> Direction:
     return Direction.Y_TO_X if c_xy > DECISION_TOL else Direction.UNDECIDED
 
 
-def _direction_counts(c_xy: np.ndarray) -> tuple[int, int]:
-    """(x -> y calls, y -> x calls) among scores, by _direction's rule; the
-    rest, NaN included, are undecided."""
-    return int(np.count_nonzero(c_xy < -DECISION_TOL)), int(np.count_nonzero(c_xy > DECISION_TOL))
-
-
 def igci_score(
     pair: SamplePair,
     reference: ReferenceFamily = ReferenceFamily.UNIFORM_UNIT,

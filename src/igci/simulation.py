@@ -25,14 +25,14 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .core import ReferenceFamily, _as_finite_vector
+from .core import Direction, ReferenceFamily, _as_finite_vector
 from .errors import (
     ConstantInputError,
     DomainError,
     SamplingStalledError,
     TooFewRowsError,
 )
-from .estimators import EstimatorKind, _direction_counts, _score_stack, spacing_entropy
+from .estimators import EstimatorKind, _direction, _score_stack, spacing_entropy
 
 __all__ = [
     "InputKind",
@@ -71,71 +71,6 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
-
-
-# numpy's SeedSequence hash: pool size 4, constants of its hashmix, mix and generate_state.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-# Repetitions whose Philox keys are hashed in one pass.
-_KEY_BATCH = 1024
-
-
-def _words(n: int) -> list:
-    """n as little-endian 32-bit words, as SeedSequence splits an integer."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _philox_keys(seed: int, path: tuple, reps: range) -> np.ndarray:
-    """Philox key of substream(seed, *path, rep) for each rep in reps, as a
-    (len(reps), 2) uint64 array: SeedSequence(seed, spawn_key=(*path, rep))
-    .generate_state(2, np.uint64), with the rep word hashed for all reps at once.
-
-    The words before the rep are Python ints and the rep word is a uint32
-    array; the hash masks every product to 32 bits, so it serves both.
-    """
-    if reps.stop > 2**32:
-        raise DomainError(f"repetitions must stay below 2**32, got {reps.stop}")
-    run = _words(int(seed))
-    # With a spawn key present, SeedSequence pads the run entropy to the pool size.
-    entropy = run + [0] * (_POOL_SIZE - len(run)) + [w for p in path for w in _words(int(p))]
-    entropy.append(np.arange(reps.start, reps.stop, dtype=np.uint32))
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const = _INIT_B
-    state = np.empty((len(reps), _POOL_SIZE), dtype=np.uint64)
-    for i, word in enumerate(pool):
-        word = word ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        word = word * hash_const & _MASK32
-        state[:, i] = word ^ word >> 16
-    # generate_state(2, np.uint64) joins the four words little-endian.
-    return state[:, 0::2] | state[:, 1::2] << 32
 
 
 class InputKind(Enum):
@@ -435,17 +370,18 @@ def _streams(seed: int, path: tuple, repetitions: int):
     buffer and the key that substream would derive give the same stream."""
     rng = np.random.Generator(np.random.Philox(0))
     zeros = np.zeros(4, dtype=np.uint64)
-    for start in range(0, repetitions, _KEY_BATCH):
-        for key in _philox_keys(seed, path, range(start, min(start + _KEY_BATCH, repetitions))):
-            rng.bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": zeros, "key": key},
-                "buffer": zeros,
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
+    for rep in range(repetitions):
+        # SeedSequence rejects a seed that is not a nonnegative integer.
+        key = np.random.SeedSequence(seed, spawn_key=(*path, rep)).generate_state(2, np.uint64)
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": key},
+            "buffer": zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def _run_cells(cells, draw, m, repetitions, estimator, reference, seed) -> list:
@@ -473,11 +409,11 @@ def _run_cells(cells, draw, m, repetitions, estimator, reference, seed) -> list:
             y = draw(spec, islice(streams, len(block)), block)
             errors = {}
             c_xy, _ = _score_stack(errors, block, y, reference, estimator)
-            c_xy[list(errors)] = np.nan  # void scores are undecided
-            x_to_y, y_to_x = _direction_counts(c_xy)
-            tally.correct += x_to_y
-            tally.wrong += y_to_x
-            tally.undecided += len(block) - x_to_y - y_to_x
+            for row, c in enumerate(c_xy.tolist()):
+                direction = Direction.UNDECIDED if row in errors else _direction(c)
+                tally.correct += direction is Direction.X_TO_Y
+                tally.wrong += direction is Direction.Y_TO_X
+                tally.undecided += direction is Direction.UNDECIDED
         results.append((label, tally))
     return results
 
