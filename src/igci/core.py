@@ -48,13 +48,6 @@ class Direction(Enum):
     Y_TO_X = "y->x"
     UNDECIDED = "undecided"
 
-    def flipped(self) -> "Direction":
-        if self is Direction.X_TO_Y:
-            return Direction.Y_TO_X
-        if self is Direction.Y_TO_X:
-            return Direction.X_TO_Y
-        return self
-
 
 class ReferenceFamily(Enum):
     """Reference distribution a variable is mapped onto before scoring."""
@@ -99,9 +92,6 @@ class SamplePair:
     @property
     def m(self) -> int:
         return self.x.size
-
-    def swapped(self) -> "SamplePair":
-        return SamplePair(self.y, self.x)
 
 
 @dataclass(frozen=True)

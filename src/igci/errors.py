@@ -23,7 +23,6 @@ __all__ = [
     "EmptyManifestError",
     "DomainError",
     "NonPositiveTraceError",
-    "NotPositiveDefiniteError",
     "SamplingStalledError",
 ]
 
@@ -86,10 +85,6 @@ class DomainError(NumericError, ValueError):
 
 class NonPositiveTraceError(NumericError):
     """A matrix trace that must be positive is not."""
-
-
-class NotPositiveDefiniteError(NumericError):
-    """A matrix that must be positive definite is not."""
 
 
 class SamplingStalledError(NumericError):

@@ -56,7 +56,6 @@ __all__ = [
     "run_sine",
     "estimate_fisher_information",
     "verify_noise_bound",
-    "noise_variance_budget",
 ]
 
 _MAX_CONSECUTIVE_REJECTS = 1_000_000
@@ -188,10 +187,10 @@ class MechanismSpec:
             raise ValueError("cdf_mix parameters are required exactly when kind is CDF_MIX")
 
     @staticmethod
-    def random_cdf_mix(rng: np.random.Generator, components: int = _CDF_COMPONENTS) -> "MechanismSpec":
+    def random_cdf_mix(rng: np.random.Generator) -> "MechanismSpec":
         """Fresh random CDF-mixture mechanism: normalized uniform weights,
         uniform locations, widths uniform on [0, 0.1] floored at 1e-4."""
-        params = np.empty((3, components))
+        params = np.empty((3, _CDF_COMPONENTS))
         _draw_cdf_mix(rng, params)
         return MechanismSpec(MechanismKind.CDF_MIX, CdfMixParams(*map(tuple, params)))
 
@@ -262,8 +261,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.lam < 0.0 or not math.isfinite(self.lam):
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam!r}")
-        if self.laplace_scale <= 0.0:
-            raise ValueError("laplace_scale must be positive")
+        if not 0.0 < self.laplace_scale < math.inf:
+            raise ValueError(f"laplace_scale must be finite and positive, got {self.laplace_scale!r}")
         # A deterministic run is spelled with both fields off, never half.
         if (self.lam == 0.0) != (self.kind is NoiseKind.NONE):
             raise ValueError("lam == 0 exactly when kind is NONE")
@@ -501,22 +500,21 @@ class SineResult:
 def run_sine(
     epsilon: float = 0.005,
     omega: float = 40.0,
-    dists: Optional[Sequence] = None,
     m: int = 1000,
     repetitions: int = 100,
     estimator: EstimatorKind = EstimatorKind.ENTROPY_SPACING,
     reference: ReferenceFamily = ReferenceFamily.UNIFORM_UNIT,
     seed: int = 0,
 ) -> SineResult:
-    """Score y = x + epsilon * sin(omega * x) across input distributions.
+    """Score y = x + epsilon * sin(omega * x) across the SINE_INPUTS distributions.
 
     The flutter keeps the map strictly increasing as long as
     epsilon * omega < 1, which is enforced. Inputs are drawn without
     truncation. epsilon = 0 makes y equal x exactly, so every repetition
     scores 0 and lands in the undecided tally.
     """
-    if epsilon < 0.0 or omega <= 0.0:
-        raise DomainError("epsilon must be nonnegative and omega positive")
+    if not (0.0 <= epsilon < math.inf and 0.0 < omega < math.inf):
+        raise DomainError(f"need finite epsilon >= 0 and omega > 0, got {epsilon!r} and {omega!r}")
     if epsilon * omega >= 1.0:
         raise DomainError(f"epsilon * omega = {epsilon * omega!r} must stay below 1 to keep the map increasing")
 
@@ -525,10 +523,7 @@ def run_sine(
             x[row] = sample_input(dist, m, rng, truncate=False)
         return x + epsilon * np.sin(omega * x)
 
-    chosen = tuple(dists) if dists is not None else SINE_INPUTS
-    if not chosen:
-        raise DomainError("dists must name at least one input distribution")
-    cells = [(label, (i,), dist) for i, (label, dist) in enumerate(chosen)]
+    cells = [(label, (i,), dist) for i, (label, dist) in enumerate(SINE_INPUTS)]
     return SineResult(
         entries=tuple(_run_cells(cells, draw, m, repetitions, estimator, reference, seed)),
         epsilon=epsilon,
@@ -541,10 +536,13 @@ def run_sine(
     )
 
 
+# Bins of the kernel density grid in estimate_fisher_information.
+_FISHER_GRID = 4096
+
+
 def estimate_fisher_information(
     values,
     bandwidth: Optional[float] = None,
-    grid_size: int = 4096,
     deconvolve: bool = True,
 ) -> float:
     """Plug-in Fisher information of a scalar density from a sample.
@@ -573,7 +571,7 @@ def estimate_fisher_information(
         raise DomainError(f"bandwidth must be positive, got {h!r}")
     lo = float(arr.min()) - 5.0 * h
     hi = float(arr.max()) + 5.0 * h
-    edges = np.linspace(lo, hi, grid_size + 1)
+    edges = np.linspace(lo, hi, _FISHER_GRID + 1)
     delta = float(edges[1] - edges[0])
     counts, _ = np.histogram(arr, bins=edges)
     radius = int(math.ceil(6.0 * h / delta))
@@ -589,6 +587,10 @@ def estimate_fisher_information(
         if inv > 0.0:
             info = 1.0 / inv
     return info
+
+
+# Slack on the noise bound for the error of the spacing entropy estimates.
+_NOISE_BOUND_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -607,14 +609,13 @@ def verify_noise_bound(
     sigma_levels: Sequence[float] = (0.01, 0.1, 1.0),
     rng_seed: int = 0,
     fisher: Optional[float] = None,
-    tolerance: float = 0.05,
 ) -> list:
     """Check S(x + sqrt(sigma) Z) <= S(x) + 0.5 * log(sigma * J(x) + 1).
 
     Entropies are spacing estimates, J(x) is the plug-in Fisher information
     unless supplied. The bound is tight when x itself is Gaussian, so the
     reported gap (bound minus noisy entropy) doubles as a tightness probe.
-    holds allows the stated tolerance for estimation error.
+    holds allows _NOISE_BOUND_TOL of slack for estimation error.
     """
     arr = _as_finite_vector(x, "x")
     base = spacing_entropy(arr)
@@ -638,19 +639,7 @@ def verify_noise_bound(
                 fisher=info,
                 bound=bound,
                 gap=bound - noisy_entropy,
-                holds=noisy_entropy <= bound + tolerance,
+                holds=noisy_entropy <= bound + _NOISE_BOUND_TOL,
             )
         )
     return checks
-
-
-def noise_variance_budget(entropy_x: float, entropy_y: float, fisher_y: float) -> float:
-    """Largest noise variance guaranteed not to flip an entropy comparison.
-
-    For S(y) < S(x), additive Gaussian noise of variance sigma keeps the
-    noisy S(y) below S(x) whenever sigma < (e**(2 S(x) - 2 S(y)) - 1) / J(y).
-    Returns that threshold; nonpositive means no budget exists.
-    """
-    if fisher_y <= 0.0:
-        raise DomainError(f"fisher_y must be positive, got {fisher_y!r}")
-    return (math.exp(2.0 * (entropy_x - entropy_y)) - 1.0) / fisher_y

@@ -7,11 +7,6 @@ two sides is therefore near zero in the causal direction and generically
 positive backwards, because the inverse map is anti-correlated with the
 output covariance it produced. Inference fits A by least squares and
 compares the gap forwards and backwards.
-
-kl_to_isotropic measures how far a covariance is from every scaled
-identity; it is invariant under scaling and orthogonal conjugation and
-links the forward and backward descriptions: the backward irregularity
-exceeds the forward one by exactly d/2 times the forward gap.
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ from .core import Direction, MultiSample, _frozen
 from .errors import (
     DimensionMismatchError,
     NonPositiveTraceError,
-    NotPositiveDefiniteError,
     SingularFitError,
 )
 
@@ -36,7 +30,6 @@ __all__ = [
     "LinearDirectionResult",
     "renormalized_trace",
     "trace_gap",
-    "kl_to_isotropic",
     "infer_linear_direction",
 ]
 
@@ -82,25 +75,6 @@ def trace_gap(a, sigma_x) -> float:
         if value <= 0.0:
             raise NonPositiveTraceError(f"renormalized trace of {name} is {value!r}")
     return float(np.log(pushed) - np.log(map_scale) - np.log(input_scale))
-
-
-def kl_to_isotropic(sigma) -> float:
-    """Divergence of a zero-mean Gaussian from the nearest scaled identity.
-
-    Equals 0.5 * (d * log tau(Sigma) - log det Sigma), which is nonnegative
-    and zero exactly on multiples of the identity. Scale-invariant.
-    """
-    arr = _square(sigma, "sigma")
-    scale = float(np.max(np.abs(arr))) or 1.0
-    if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-8 * scale):
-        raise NotPositiveDefiniteError("sigma is not symmetric")
-    evals = np.linalg.eigvalsh((arr + arr.T) / 2.0)
-    if evals[0] <= 0.0:
-        raise NotPositiveDefiniteError(f"smallest eigenvalue {evals[0]!r} is not positive")
-    d = arr.shape[0]
-    # Same eigenvalues feed both terms, so log-mean >= mean-log keeps the
-    # result nonnegative down to rounding.
-    return 0.5 * (d * float(np.log(np.mean(evals))) - float(np.sum(np.log(evals))))
 
 
 @dataclass(frozen=True)

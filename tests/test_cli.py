@@ -182,6 +182,20 @@ def test_simulate_sine_runs_and_guards(capsys):
     assert "numeric error" in err
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_simulate_non_finite_laplace_scale_is_usage(capsys, scale):
+    code, out, err = run_cli(capsys, "simulate", "--noise", "laplace", "--lambda", "0.1", "--laplace-scale", scale)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"igci: error: laplace_scale must be finite and positive, got {float(scale)!r}\n"
+
+
+@pytest.mark.parametrize("flutter", [["--epsilon", "nan"], ["--omega", "nan"], ["--epsilon", "0", "--omega", "inf"]])
+def test_simulate_sine_non_finite_flutter_is_a_numeric_error(capsys, flutter):
+    code, out, err = run_cli(capsys, "simulate", "--experiment", "sine", *flutter, "--m", "60", "--reps", "2")
+    assert code == EXIT_NUMERIC and out == ""
+    assert err.startswith("igci: numeric error: need finite epsilon >= 0 and omega > 0")
+
+
 @pytest.mark.parametrize("command", [["simulate", "--m", "50", "--reps", "2"], ["verify", "--check", "kl-identity", "--trials", "2"]])
 @pytest.mark.parametrize("seed_from", ["flag", "env"])
 def test_negative_seed_is_usage(capsys, monkeypatch, command, seed_from):

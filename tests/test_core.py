@@ -9,7 +9,6 @@ from scipy.special import digamma as scipy_digamma
 from igci import (
     DataError,
     DimensionMismatchError,
-    Direction,
     DomainError,
     ConstantInputError,
     LinearModel,
@@ -202,8 +201,6 @@ def test_sample_pair_is_frozen():
     assert pair.m == 3
     with pytest.raises(ValueError):
         pair.x[0] = 10.0
-    swapped = pair.swapped()
-    assert np.array_equal(swapped.x, pair.y)
 
 
 def test_construction_leaves_callers_arrays_writeable():
@@ -233,9 +230,3 @@ def test_multisample_shape_properties():
     assert sample.m == 6 and sample.d == 2
     with pytest.raises(DimensionMismatchError):
         MultiSample(np.arange(5.0))
-
-
-def test_direction_flip():
-    assert Direction.X_TO_Y.flipped() is Direction.Y_TO_X
-    assert Direction.Y_TO_X.flipped() is Direction.X_TO_Y
-    assert Direction.UNDECIDED.flipped() is Direction.UNDECIDED

@@ -147,9 +147,9 @@ def test_igci_score_exact_antisymmetry_under_swap():
     pair = _cbrt_pair(seed=26)
     for estimator in (ENTROPY, SLOPE):
         fwd = igci_score(pair, estimator=estimator)
-        rev = igci_score(pair.swapped(), estimator=estimator)
+        rev = igci_score(SamplePair(pair.y, pair.x), estimator=estimator)
         assert rev.c_xy == -fwd.c_xy
-        assert rev.direction is fwd.direction.flipped()
+        assert fwd.direction is Direction.X_TO_Y and rev.direction is Direction.Y_TO_X
 
 
 def test_igci_score_shuffle_invariance_is_bitwise():

@@ -10,10 +10,8 @@ from igci import (
     LinearModel,
     MultiSample,
     NonPositiveTraceError,
-    NotPositiveDefiniteError,
     SingularFitError,
     infer_linear_direction,
-    kl_to_isotropic,
     renormalized_trace,
     trace_gap,
 )
@@ -78,66 +76,6 @@ def test_trace_gap_errors():
         trace_gap(np.eye(2), np.eye(3))
     with pytest.raises(DimensionMismatchError):
         trace_gap(np.ones((2, 3)), np.eye(3))
-
-
-# ------------------------------------------------------------ kl to isotropic
-
-def test_kl_to_isotropic_zero_on_scaled_identity():
-    assert kl_to_isotropic(np.eye(4)) <= 1e-12
-    assert kl_to_isotropic(7.25 * np.eye(3)) <= 1e-12
-
-
-def test_kl_to_isotropic_hand_values():
-    # diag(1, 4): log tau - 0.5 log det = log 2.5 - log 2
-    assert kl_to_isotropic(np.diag([1.0, 4.0])) == pytest.approx(math.log(1.25), abs=1e-12)
-    # diag(e^2, e^-2): reduces to log cosh 2
-    sigma = np.diag([math.exp(2.0), math.exp(-2.0)])
-    assert kl_to_isotropic(sigma) == pytest.approx(math.log(math.cosh(2.0)), abs=1e-12)
-
-
-def test_kl_to_isotropic_nonnegative():
-    for trial in range(100):
-        rng = substream(53, trial)
-        d = int(rng.integers(2, 9))
-        assert kl_to_isotropic(_random_spd(rng, d)) >= 0.0
-
-
-def test_kl_to_isotropic_invariances():
-    for trial in range(20):
-        rng = substream(54, trial)
-        d = 5
-        sigma = _random_spd(rng, d)
-        base = kl_to_isotropic(sigma)
-        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        assert kl_to_isotropic(q @ sigma @ q.T) == pytest.approx(base, abs=1e-10)
-        for c in (1e-4, 3.0, 1e5):
-            assert kl_to_isotropic(c * sigma) == pytest.approx(base, abs=1e-12)
-
-
-def test_kl_to_isotropic_rejects_bad_matrices():
-    with pytest.raises(NotPositiveDefiniteError):
-        kl_to_isotropic([[1.0, 0.5], [0.49, 1.0]])
-    with pytest.raises(NotPositiveDefiniteError):
-        kl_to_isotropic(np.diag([1.0, -1.0]))
-    with pytest.raises(NotPositiveDefiniteError):
-        kl_to_isotropic([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(DimensionMismatchError):
-        kl_to_isotropic(np.ones((2, 3)))
-
-
-def test_irregularity_decomposition_identity():
-    # kl(A Sigma A^T) - kl(Sigma) - kl(A A^T) = (d/2) * trace_gap(A, Sigma)
-    # holds for any invertible A because the determinants cancel exactly
-    worst = 0.0
-    for trial in range(50):
-        rng = substream(55, trial)
-        d = int(rng.integers(2, 7))
-        a = rng.standard_normal((d, d)) + np.eye(d)
-        sigma = _random_spd(rng, d)
-        lhs = kl_to_isotropic(a @ sigma @ a.T) - kl_to_isotropic(sigma) - kl_to_isotropic(a @ a.T)
-        rhs = 0.5 * d * trace_gap(a, sigma)
-        worst = max(worst, abs(lhs - rhs))
-    assert worst <= 1e-10
 
 
 # ----------------------------------------------------------- linear direction
