@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._fanout import fan_out
 from .core import Direction, ReferenceFamily, SamplePair
 from .errors import (
     ConstantInputError,
@@ -401,23 +402,25 @@ def evaluate_manifest(
     decisions_pct is the weighted share of entries that produced a
     direction; accuracy_pct is the weighted share of correct calls among
     decided entries with known ground truth (None when no entry qualifies).
-    Per-entry failures are recorded, not raised. fsum keeps both summary
-    numbers invariant under entry reordering.
+    Per-entry failures are recorded, not raised. Entries are loaded and
+    scored on forked workers, one per available CPU. fsum keeps both
+    summary numbers invariant under entry reordering.
     """
     if not manifest:
         raise EmptyManifestError("manifest has no entries")
-    reports = []
-    for entry in manifest:
+
+    def report(entry: ManifestEntry) -> EntryReport:
         try:
             pair = load_pair(entry.path, entry.x_col, entry.y_col)
             result = igci_score(pair, reference=reference, estimator=estimator)
         except IgciError as exc:
-            reports.append(EntryReport(entry=entry, report=None, error=str(exc), correct=None))
-            continue
+            return EntryReport(entry=entry, report=None, error=str(exc), correct=None)
         correct: Optional[bool] = None
         if entry.truth is not None and result.direction is not Direction.UNDECIDED:
             correct = result.direction is entry.truth
-        reports.append(EntryReport(entry=entry, report=result, error=None, correct=correct))
+        return EntryReport(entry=entry, report=result, error=None, correct=correct)
+
+    reports = fan_out(report, manifest)
     total_w = math.fsum(r.entry.weight for r in reports)
     decided_w = math.fsum(r.entry.weight for r in reports if r.decided)
     known_w = math.fsum(r.entry.weight for r in reports if r.correct is not None)

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import ndtr
 
+from ._fanout import fan_out
 from .core import Direction, ReferenceFamily, _as_finite_vector
 from .errors import (
     ConstantInputError,
@@ -159,7 +160,8 @@ class CdfMixParams:
         sd = tuple(float(v) for v in self.widths)
         if not (len(w) == len(mu) == len(sd)) or len(w) == 0:
             raise ValueError("weights, means, widths must be equal-length and nonempty")
-        if any(v < 0.0 for v in w) or abs(sum(w) - 1.0) > 1e-8:
+        # A NaN weight fails both comparisons, so the sum test is written to catch it.
+        if any(v < 0.0 for v in w) or not abs(sum(w) - 1.0) <= 1e-8:
             raise ValueError("weights must be nonnegative and sum to 1")
         if any(not (0.0 <= v <= 1.0) for v in mu):
             raise ValueError("means must lie in [0, 1]")
@@ -391,7 +393,8 @@ def _run_cells(cells, draw, m, repetitions, estimator, reference, seed) -> list:
     blocks: draw(spec, streams, x) fills row i of the block x from the i-th
     generator of streams and returns the block's y. Every row scores exactly
     as its pair would alone. Estimator errors inside a repetition are
-    tallied as undecided. Returns (label, CellTally) pairs in cell order.
+    tallied as undecided. Cells run on forked workers, one per available
+    CPU. Returns (label, CellTally) pairs in cell order.
     """
     if m < 3:
         raise TooFewRowsError(f"m must be at least 3, got {m}")
@@ -399,8 +402,9 @@ def _run_cells(cells, draw, m, repetitions, estimator, reference, seed) -> list:
         raise DomainError(f"repetitions must be at least 1, got {repetitions}")
     rows = min(repetitions, max(1, _BLOCK_VALUES // m))
     x = np.empty((rows, m))
-    results = []
-    for label, path, spec in cells:
+
+    def run_cell(cell) -> tuple:
+        label, path, spec = cell
         tally = CellTally()
         streams = _streams(seed, path, repetitions)
         for start in range(0, repetitions, rows):
@@ -413,8 +417,9 @@ def _run_cells(cells, draw, m, repetitions, estimator, reference, seed) -> list:
                 tally.correct += direction is Direction.X_TO_Y
                 tally.wrong += direction is Direction.Y_TO_X
                 tally.undecided += direction is Direction.UNDECIDED
-        results.append((label, tally))
-    return results
+        return label, tally
+
+    return fan_out(run_cell, cells)
 
 
 def run_grid(
@@ -625,8 +630,8 @@ def verify_noise_bound(
     checks = []
     for idx, sigma in enumerate(sigma_levels):
         sigma = float(sigma)
-        if sigma <= 0.0:
-            raise DomainError(f"sigma levels must be positive, got {sigma!r}")
+        if not 0.0 < sigma < math.inf:
+            raise DomainError(f"sigma levels must be positive and finite, got {sigma!r}")
         rng = substream(rng_seed, idx)
         noisy = arr + math.sqrt(sigma) * rng.standard_normal(arr.size)
         noisy_entropy = spacing_entropy(noisy)

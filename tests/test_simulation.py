@@ -36,6 +36,7 @@ from igci import (
     substream,
     verify_noise_bound,
 )
+import igci._fanout
 import igci.simulation as sim
 
 GAUSSIAN_ENTROPY = 1.4189385332046727
@@ -194,6 +195,13 @@ def test_cdf_mix_params_validation():
         CdfMixParams((), (), ())
 
 
+@pytest.mark.parametrize("weights", [(math.nan,), (0.5, math.nan), (math.inf, 0.5)])
+def test_cdf_mix_params_reject_non_finite_weights(weights):
+    # A NaN weight passed both checks and the mechanism returned all-NaN values.
+    with pytest.raises(ValueError, match="weights"):
+        CdfMixParams(weights, (0.5,) * len(weights), (0.05,) * len(weights))
+
+
 def test_mechanism_spec_requires_params_exactly_for_cdf_mix():
     with pytest.raises(ValueError):
         MechanismSpec(MechanismKind.CDF_MIX)
@@ -289,6 +297,8 @@ def _recorded_blocks(monkeypatch, run):
     """(x, y) stacks of every block that run() scores, concatenated in scoring order."""
     blocks = []
     score = sim._score_stack
+    # One worker: a forked worker would append to its own copy of blocks.
+    monkeypatch.setattr(igci._fanout, "_cpu_count", lambda: 1)
 
     def recording(errors, x, y, reference, estimator):
         blocks.append((x.copy(), y.copy()))
@@ -534,6 +544,13 @@ def test_verify_noise_bound_fisher_override_and_guards():
         verify_noise_bound(x, sigma_levels=(0.0,), rng_seed=26, fisher=1.0)
     with pytest.raises(DomainError):
         verify_noise_bound(x, rng_seed=26, fisher=-2.0)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_verify_noise_bound_rejects_non_finite_sigma_levels(sigma):
+    x = substream(25).standard_normal(5000)
+    with pytest.raises(DomainError, match=f"sigma levels must be positive and finite, got {sigma!r}"):
+        verify_noise_bound(x, sigma_levels=(0.5, sigma), rng_seed=26, fisher=1.0)
 
 
 def test_verify_noise_bound_overflowing_spacing_is_a_data_error():

@@ -90,3 +90,9 @@ def test_simulate_grid_benchmark_stdout_matches_its_digest(capsys, monkeypatch):
     assert main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == workloads.GRID_STDOUT_SHA256[0]
+
+
+def test_simulate_grid_benchmark_digest_holds_on_two_workers(capsys, monkeypatch):
+    # Forces the forked path, so the digest guards it on a one-CPU host too.
+    monkeypatch.setattr(igci._fanout, "_cpu_count", lambda: 2)
+    test_simulate_grid_benchmark_stdout_matches_its_digest(capsys, monkeypatch)
