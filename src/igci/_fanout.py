@@ -78,12 +78,13 @@ def _fork(fn, share):
 
 
 def _receive(pid: int, read_fd: int):
-    """A worker's results, or the error to raise in place of its first item."""
+    """A worker's results; if it exits without them, an error in place of its first item."""
     with os.fdopen(read_fd, "rb") as pipe:
         data = pipe.read()
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status != 0:
-        return RuntimeError(f"worker process {pid} exited with status {status} before sending its results")
+        error = RuntimeError(f"worker process {pid} exited with status {status} before sending its results")
+        return [(None, error, [])]
     return pickle.loads(data)
 
 
@@ -99,10 +100,7 @@ def fan_out(fn, items) -> list:
         done.extend(_receive(*child) if isinstance(child, tuple) else child for child in children)
     results = []
     for i in range(len(items)):
-        share = done[i % workers]
-        if isinstance(share, RuntimeError):
-            raise share
-        result, error, caught = share[i // workers]
+        result, error, caught = done[i % workers][i // workers]
         for warning in caught:
             # Filters already ran inside the item; show the warning as it came.
             warnings.showwarning(*warning)

@@ -144,21 +144,15 @@ def _backward_diffs(x: np.ndarray, y: np.ndarray, dx: np.ndarray, dy: np.ndarray
     """_sorted_diffs(y, x) given the forward differences dx, dy along sorted x.
 
     Where y strictly increases along the forward order, that order sorts y
-    and the differences swap roles; where it strictly decreases, the reverse
-    order does, and each difference is the negated forward one, exactly.
-    Only the remaining rows are sorted again.
+    and the differences swap roles. Only the other rows are sorted again.
     """
     up = (dy > 0.0).all(axis=1)
     if up.all():
         return dy, dx
-    down = (dy < 0.0).all(axis=1)
     back_dx, back_dy = np.empty_like(dy), np.empty_like(dx)
     back_dx[up], back_dy[up] = dy[up], dx[up]
-    # Negating copies the reversed rows, so later reductions run in y order.
-    back_dx[down], back_dy[down] = -dy[down, ::-1], -dx[down, ::-1]
-    rest = np.flatnonzero(~(up | down))
-    if rest.size:
-        back_dx[rest], back_dy[rest] = _sorted_diffs(y[rest], x[rest])
+    rest = np.flatnonzero(~up)
+    back_dx[rest], back_dy[rest] = _sorted_diffs(y[rest], x[rest])
     return back_dx, back_dy
 
 

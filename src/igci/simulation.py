@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -68,9 +67,10 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
     Philox is counter-based, so streams derived from distinct paths are
     statistically independent and identical across platforms and runs.
+    A seed or path entry that is not an integer raises TypeError, and a
+    negative one raises ValueError.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
 
 
 class InputKind(Enum):
@@ -365,36 +365,17 @@ class SimGridResult:
 _BLOCK_VALUES = 8192
 
 
-def _streams(seed: int, path: tuple, repetitions: int):
-    """Yield substream(seed, *path, rep) for rep = 0, 1, ... in turn, as one
-    Generator whose Philox is re-keyed for each: a zero counter, an empty
-    buffer and the key that substream would derive give the same stream."""
-    rng = np.random.Generator(np.random.Philox(0))
-    zeros = np.zeros(4, dtype=np.uint64)
-    for rep in range(repetitions):
-        # SeedSequence rejects a seed that is not a nonnegative integer.
-        key = np.random.SeedSequence(seed, spawn_key=(*path, rep)).generate_state(2, np.uint64)
-        rng.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zeros, "key": key},
-            "buffer": zeros,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
-
-
 def _run_cells(cells, draw, m, repetitions, estimator, reference, seed) -> list:
     """Score `repetitions` draws per cell and tally the calls against x -> y.
 
     cells holds (label, path, spec) triples; repetition rep of a cell draws
     from substream(seed, *path, rep). Repetitions are drawn and scored in
     blocks: draw(spec, streams, x) fills row i of the block x from the i-th
-    generator of streams and returns the block's y. Every row scores exactly
-    as its pair would alone. Estimator errors inside a repetition are
-    tallied as undecided. Cells run on forked workers, one per available
-    CPU. Returns (label, CellTally) pairs in cell order.
+    generator of streams, the substream of the block's i-th repetition, and
+    returns the block's y. Every row scores exactly as its pair would alone.
+    Estimator errors inside a repetition are tallied as undecided. Cells run
+    on forked workers, one per available CPU. Returns (label, CellTally)
+    pairs in cell order.
     """
     if m < 3:
         raise TooFewRowsError(f"m must be at least 3, got {m}")
@@ -406,10 +387,10 @@ def _run_cells(cells, draw, m, repetitions, estimator, reference, seed) -> list:
     def run_cell(cell) -> tuple:
         label, path, spec = cell
         tally = CellTally()
-        streams = _streams(seed, path, repetitions)
         for start in range(0, repetitions, rows):
             block = x[: min(rows, repetitions - start)]
-            y = draw(spec, islice(streams, len(block)), block)
+            streams = (substream(seed, *path, rep) for rep in range(start, start + len(block)))
+            y = draw(spec, streams, block)
             errors = {}
             c_xy, _ = _score_stack(errors, block, y, reference, estimator)
             for row, c in enumerate(c_xy.tolist()):

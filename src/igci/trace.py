@@ -22,9 +22,9 @@ from .errors import (
     NonPositiveTraceError,
     SingularFitError,
 )
+from .estimators import _direction
 
 __all__ = [
-    "GAP_TOL",
     "RESIDUAL_WARN_THRESHOLD",
     "LinearModel",
     "LinearDirectionResult",
@@ -32,9 +32,6 @@ __all__ = [
     "trace_gap",
     "infer_linear_direction",
 ]
-
-# |gap| differences at or below this give an undecided call.
-GAP_TOL = 1e-12
 
 # Relative Frobenius residual above which the linear fit is suspect.
 RESIDUAL_WARN_THRESHOLD = 0.05
@@ -136,7 +133,8 @@ def infer_linear_direction(
     reverse map defaults to its matrix inverse, which is the exact reverse
     model in the noise-free case; refit_reverse=True fits the reverse
     regression independently instead, which is preferable once residual
-    noise makes the inverse biased. The smaller absolute trace gap wins.
+    noise makes the inverse biased. The smaller absolute trace gap wins;
+    gaps within DECISION_TOL of each other leave the call undecided.
     A relative fit residual above RESIDUAL_WARN_THRESHOLD emits a warning
     rather than an error.
     """
@@ -167,15 +165,8 @@ def infer_linear_direction(
             raise SingularFitError("forward map is not invertible") from exc
     gap_xy = trace_gap(a, model.sigma_x)
     gap_yx = trace_gap(reverse, model.sigma_y)
-    margin = abs(gap_xy) - abs(gap_yx)
-    if abs(margin) <= GAP_TOL:
-        direction = Direction.UNDECIDED
-    elif margin < 0.0:
-        direction = Direction.X_TO_Y
-    else:
-        direction = Direction.Y_TO_X
     return LinearDirectionResult(
-        direction=direction,
+        direction=_direction(abs(gap_xy) - abs(gap_yx)),
         gap_xy=gap_xy,
         gap_yx=gap_yx,
         model=model,

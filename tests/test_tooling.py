@@ -96,3 +96,20 @@ def test_simulate_grid_benchmark_digest_holds_on_two_workers(capsys, monkeypatch
     # Forces the forked path, so the digest guards it on a one-CPU host too.
     monkeypatch.setattr(igci._fanout, "_cpu_count", lambda: 2)
     test_simulate_grid_benchmark_stdout_matches_its_digest(capsys, monkeypatch)
+
+
+def test_substream_is_the_only_function_that_builds_a_seed_sequence_or_philox():
+    # A second derivation of the seeded streams would have to be kept equal to substream's by hand.
+    users = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner.split('.')[0]}.{node.name}"
+        if getattr(node, "attr", getattr(node, "id", None)) in ("SeedSequence", "Philox"):
+            users.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in (ROOT / "src" / "igci").glob("*.py"):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert users == {"simulation.substream"}
