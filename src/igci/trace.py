@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Direction, MultiSample, _frozen
+from .core import Direction, MultiSample
 from .errors import (
+    DataError,
     DimensionMismatchError,
     NonPositiveTraceError,
     SingularFitError,
@@ -26,9 +27,7 @@ from .estimators import _direction
 
 __all__ = [
     "RESIDUAL_WARN_THRESHOLD",
-    "LinearModel",
     "LinearDirectionResult",
-    "renormalized_trace",
     "trace_gap",
     "infer_linear_direction",
 ]
@@ -41,33 +40,29 @@ _MAX_CONDITION = 1e12
 
 def _square(matrix, name: str) -> np.ndarray:
     arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatchError(f"{name} must be square, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise DimensionMismatchError(f"{name} must be square and non-empty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise DimensionMismatchError(f"{name} contains non-finite entries")
+        raise DataError(f"{name} contains non-finite entries")
     return arr
-
-
-def renormalized_trace(matrix) -> float:
-    """Trace divided by dimension, tr(B)/d."""
-    arr = _square(matrix, "matrix")
-    return float(np.trace(arr)) / arr.shape[0]
 
 
 def trace_gap(a, sigma_x) -> float:
     """log tau(A Sigma A^T) - log tau(A A^T) - log tau(Sigma).
 
-    Zero when the overall scaling of the map is unrelated to the input
-    covariance, for instance when Sigma is any multiple of the identity.
-    Invariant under rescaling of A.
+    tau(B) = tr(B)/d is the renormalized trace. The gap is zero when the
+    overall scaling of the map is unrelated to the input covariance, for
+    instance when Sigma is any multiple of the identity. Invariant under
+    rescaling of A.
     """
     a_arr = _square(a, "a")
     s_arr = _square(sigma_x, "sigma_x")
     if a_arr.shape != s_arr.shape:
         raise DimensionMismatchError(f"a is {a_arr.shape}, sigma_x is {s_arr.shape}")
-    pushed = renormalized_trace(a_arr @ s_arr @ a_arr.T)
-    map_scale = renormalized_trace(a_arr @ a_arr.T)
-    input_scale = renormalized_trace(s_arr)
+    d = a_arr.shape[0]
+    pushed = float(np.trace(a_arr @ s_arr @ a_arr.T)) / d
+    map_scale = float(np.trace(a_arr @ a_arr.T)) / d
+    input_scale = float(np.trace(s_arr)) / d
     for name, value in (("a@sigma@a.T", pushed), ("a@a.T", map_scale), ("sigma_x", input_scale)):
         if value <= 0.0:
             raise NonPositiveTraceError(f"renormalized trace of {name} is {value!r}")
@@ -75,51 +70,31 @@ def trace_gap(a, sigma_x) -> float:
 
 
 @dataclass(frozen=True)
-class LinearModel:
-    """Fitted square map together with the two empirical covariances."""
-
-    a: np.ndarray
-    sigma_x: np.ndarray
-    sigma_y: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = _square(self.a, "a")
-        sx = _square(self.sigma_x, "sigma_x")
-        sy = _square(self.sigma_y, "sigma_y")
-        if not (a.shape == sx.shape == sy.shape):
-            raise DimensionMismatchError("a, sigma_x, sigma_y must share one dimension")
-        if np.linalg.cond(a) > _MAX_CONDITION:
-            raise SingularFitError("fitted map is numerically singular")
-        object.__setattr__(self, "a", _frozen(a))
-        object.__setattr__(self, "sigma_x", _frozen(sx))
-        object.__setattr__(self, "sigma_y", _frozen(sy))
-
-    @property
-    def d(self) -> int:
-        return self.a.shape[0]
-
-
-@dataclass(frozen=True)
 class LinearDirectionResult:
     direction: Direction
     gap_xy: float
     gap_yx: float
-    model: LinearModel
     residual_rel: float
 
 
-def _population_cov(data: np.ndarray) -> np.ndarray:
-    centered = data - data.mean(axis=0)
-    return centered.T @ centered / data.shape[0]
-
-
-def _fit_map(inputs: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-    x_c = inputs - inputs.mean(axis=0)
-    y_c = outputs - outputs.mean(axis=0)
-    coef, _, rank, _ = np.linalg.lstsq(x_c, y_c, rcond=None)
-    if rank < inputs.shape[1]:
-        raise SingularFitError(f"regressor rank {rank} < dimension {inputs.shape[1]}")
+def _fit_map(inputs_c: np.ndarray, outputs_c: np.ndarray) -> np.ndarray:
+    """Least-squares map from centered inputs to centered outputs."""
+    coef, _, rank, _ = np.linalg.lstsq(inputs_c, outputs_c, rcond=None)
+    if rank < inputs_c.shape[1]:
+        raise SingularFitError(f"regressor rank {rank} < dimension {inputs_c.shape[1]}")
     return coef.T
+
+
+def _all_finite(*values) -> bool:
+    return all(np.isfinite(v).all() for v in values)
+
+
+def _range_error(x: MultiSample, y: MultiSample) -> DataError:
+    return DataError(
+        f"x ranges {float(x.data.min())!r} to {float(x.data.max())!r} and y ranges "
+        f"{float(y.data.min())!r} to {float(y.data.max())!r}; "
+        "the linear fit over- or underflows float64 at these scales"
+    )
 
 
 def infer_linear_direction(
@@ -136,39 +111,55 @@ def infer_linear_direction(
     noise makes the inverse biased. The smaller absolute trace gap wins;
     gaps within DECISION_TOL of each other leave the call undecided.
     A relative fit residual above RESIDUAL_WARN_THRESHOLD emits a warning
-    rather than an error.
+    rather than an error. Data whose scale the fit cannot carry through
+    float64 raises DataError naming the value ranges of x and y.
     """
     if x.m != y.m:
         raise DimensionMismatchError(f"x has {x.m} rows, y has {y.m}")
     if x.d != y.d:
         raise DimensionMismatchError(f"x is {x.d}-dimensional, y is {y.d}-dimensional")
-    a = _fit_map(x.data, y.data)
-    y_c = y.data - y.data.mean(axis=0)
-    x_c = x.data - x.data.mean(axis=0)
-    denom = float(np.linalg.norm(y_c))
-    if denom == 0.0:
-        raise SingularFitError("y is constant")
-    residual_rel = float(np.linalg.norm(y_c - x_c @ a.T)) / denom
-    if residual_rel > RESIDUAL_WARN_THRESHOLD:
-        warnings.warn(
-            f"linear fit residual {residual_rel:.3g} exceeds {RESIDUAL_WARN_THRESHOLD}; "
-            "the relation may not be linear enough for this method",
-            stacklevel=2,
-        )
-    model = LinearModel(a=a, sigma_x=_population_cov(x.data), sigma_y=_population_cov(y.data))
-    if refit_reverse:
-        reverse = _fit_map(y.data, x.data)
-    else:
+    # Every value below is finite and, where a trace or norm, positive in
+    # exact arithmetic; one that is not has left float64's range.
+    with np.errstate(all="ignore"):
+        x_c = x.data - x.data.mean(axis=0)
+        y_c = y.data - y.data.mean(axis=0)
+        sigma_x = x_c.T @ x_c / x.m
+        sigma_y = y_c.T @ y_c / y.m
+        if not _all_finite(sigma_x, sigma_y):
+            raise _range_error(x, y)
+        a = _fit_map(x_c, y_c)
+        if not y_c.any():
+            raise SingularFitError("y is constant")
+        y_norm = np.linalg.norm(y_c)
+        residual_rel = float(np.linalg.norm(y_c - x_c @ a.T) / y_norm)
+        if not _all_finite(a, y_norm, residual_rel):
+            raise _range_error(x, y)
+        if residual_rel > RESIDUAL_WARN_THRESHOLD:
+            warnings.warn(
+                f"linear fit residual {residual_rel:.3g} exceeds {RESIDUAL_WARN_THRESHOLD}; "
+                "the relation may not be linear enough for this method",
+                stacklevel=2,
+            )
+        if np.linalg.cond(a) > _MAX_CONDITION:
+            raise SingularFitError("fitted map is numerically singular")
+        if refit_reverse:
+            reverse = _fit_map(y_c, x_c)
+        else:
+            try:
+                reverse = np.linalg.inv(a)
+            except np.linalg.LinAlgError as exc:
+                raise SingularFitError("forward map is not invertible") from exc
+        # trace_gap refuses a non-finite reverse map or a trace that underflowed to zero.
         try:
-            reverse = np.linalg.inv(a)
-        except np.linalg.LinAlgError as exc:
-            raise SingularFitError("forward map is not invertible") from exc
-    gap_xy = trace_gap(a, model.sigma_x)
-    gap_yx = trace_gap(reverse, model.sigma_y)
+            gap_xy = trace_gap(a, sigma_x)
+            gap_yx = trace_gap(reverse, sigma_y)
+        except (DataError, NonPositiveTraceError) as exc:
+            raise _range_error(x, y) from exc
+        if not _all_finite(gap_xy, gap_yx):
+            raise _range_error(x, y)
     return LinearDirectionResult(
         direction=_direction(abs(gap_xy) - abs(gap_yx)),
         gap_xy=gap_xy,
         gap_yx=gap_yx,
-        model=model,
         residual_rel=residual_rel,
     )

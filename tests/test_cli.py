@@ -334,6 +334,17 @@ def test_tracedir_non_finite_value_is_a_data_error(capsys, linear_table):
     assert "igci: data error" in err and "non-finite" in err
 
 
+def test_tracedir_scale_beyond_float64_is_a_data_error(capsys, tmp_path):
+    rng = substream(205)
+    x = rng.standard_normal((200, 2))
+    y = 1e200 * (x @ np.array([[2.0, 1.0], [0.5, 1.0]]).T + 0.01 * rng.standard_normal((200, 2)))
+    path = tmp_path / "huge.tsv"
+    path.write_text("".join("\t".join(f"{v:.17g}" for v in row) + "\n" for row in np.column_stack([x, y])))
+    code, out, err = run_cli(capsys, "tracedir", str(path), "--x-cols", "0,1", "--y-cols", "2,3")
+    assert code == EXIT_DATA and out == ""
+    assert "igci: data error" in err and "igci: warning:" not in err
+
+
 # ----------------------------------------------------------------------- align
 
 def test_align_finds_lag(capsys, tmp_path):

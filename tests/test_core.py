@@ -11,7 +11,6 @@ from igci import (
     DimensionMismatchError,
     DomainError,
     ConstantInputError,
-    LinearModel,
     MultiSample,
     SamplePair,
     SingularCovarianceError,
@@ -207,17 +206,12 @@ def test_construction_leaves_callers_arrays_writeable():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     y = x ** 2
     data = np.arange(12.0).reshape(6, 2) ** 1.5
-    a, sigma_x, sigma_y = np.eye(2), np.eye(2), 2.0 * np.eye(2)
     pair = SamplePair(x, y)
     sample = MultiSample(data)
-    model = LinearModel(a=a, sigma_x=sigma_x, sigma_y=sigma_y)
     stored = [
         (x, pair.x),
         (y, pair.y),
         (data, sample.data),
-        (a, model.a),
-        (sigma_x, model.sigma_x),
-        (sigma_y, model.sigma_y),
     ]
     for callers, kept in stored:
         assert callers.flags.writeable

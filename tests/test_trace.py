@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from igci import (
+    DataError,
     DimensionMismatchError,
     Direction,
-    LinearModel,
     MultiSample,
     NonPositiveTraceError,
     SingularFitError,
     infer_linear_direction,
-    renormalized_trace,
     trace_gap,
 )
 from igci.simulation import substream
@@ -21,21 +20,6 @@ from igci.simulation import substream
 def _random_spd(rng, d: int) -> np.ndarray:
     g = rng.standard_normal((d, d))
     return g @ g.T / d + 1e-3 * np.eye(d)
-
-
-# --------------------------------------------------------- renormalized trace
-
-def test_renormalized_trace_values():
-    assert renormalized_trace(np.eye(3)) == 1.0
-    assert renormalized_trace(np.diag([1.0, 2.0, 3.0])) == 2.0
-    assert renormalized_trace([[5.0]]) == 5.0
-
-
-def test_renormalized_trace_rejects_non_square():
-    with pytest.raises(DimensionMismatchError):
-        renormalized_trace(np.ones((2, 3)))
-    with pytest.raises(DimensionMismatchError):
-        renormalized_trace([1.0, 2.0])
 
 
 # ------------------------------------------------------------------ trace gap
@@ -76,6 +60,13 @@ def test_trace_gap_errors():
         trace_gap(np.eye(2), np.eye(3))
     with pytest.raises(DimensionMismatchError):
         trace_gap(np.ones((2, 3)), np.eye(3))
+    with pytest.raises(DimensionMismatchError):
+        trace_gap([1.0, 2.0], np.eye(2))
+    with pytest.raises(DimensionMismatchError):
+        trace_gap(np.empty((0, 0)), np.empty((0, 0)))
+    with pytest.raises(DataError) as excinfo:
+        trace_gap(np.array([[1.0, np.inf], [0.0, 1.0]]), np.eye(2))
+    assert type(excinfo.value) is DataError
 
 
 # ----------------------------------------------------------- linear direction
@@ -154,12 +145,46 @@ def test_infer_linear_direction_rank_deficient_regressors():
         infer_linear_direction(x, y)
 
 
-def test_linear_model_validation():
-    with pytest.raises(SingularFitError):
-        LinearModel(a=np.diag([1.0, 1e-13]), sigma_x=np.eye(2), sigma_y=np.eye(2))
-    with pytest.raises(DimensionMismatchError):
-        LinearModel(a=np.eye(2), sigma_x=np.eye(3), sigma_y=np.eye(2))
-    model = LinearModel(a=np.eye(2), sigma_x=np.eye(2), sigma_y=np.eye(2))
-    assert model.d == 2
-    with pytest.raises(ValueError):
-        model.a[0, 0] = 5.0
+def test_infer_linear_direction_numerically_singular_map():
+    rng = substream(63)
+    x = rng.standard_normal((100, 2))
+    with pytest.raises(SingularFitError, match="numerically singular"):
+        infer_linear_direction(MultiSample(x), MultiSample(x @ np.diag([1.0, 1e-13])))
+
+
+def _scaled_linear_table(scale_x: float, scale_y: float):
+    rng = substream(64)
+    x = rng.standard_normal((200, 3))
+    y = x @ rng.standard_normal((3, 3)).T + 0.01 * rng.standard_normal((200, 3))
+    return MultiSample(x * scale_x), MultiSample(y * scale_y)
+
+
+@pytest.mark.parametrize(
+    "scale_x, scale_y",
+    [
+        (1.0, 1e200), (1e200, 1.0), (1e-300, 1e300), (1e-250, 1e100), (1e-200, 1e100),
+        (1.0, 1e-170), (1e-170, 1e-170),
+        (1e-160, 1.0),  # finite map and covariances, but a trace gap overflows
+        (1.0, 3.5e152),  # each y column's sum of squares fits, the Frobenius norm of y does not
+    ],
+)
+def test_infer_linear_direction_refuses_scales_float64_cannot_fit(scale_x, scale_y):
+    x, y = _scaled_linear_table(scale_x, scale_y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="x ranges .* and y ranges") as excinfo:
+            infer_linear_direction(x, y)
+    assert type(excinfo.value) is DataError
+
+
+def test_infer_linear_direction_refuses_a_column_mean_that_overflows():
+    x, y = _scaled_linear_table(1e306, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="x ranges .* and y ranges"):
+            infer_linear_direction(MultiSample(x.data + 1e306), y)
+
+
+def test_infer_linear_direction_decides_at_large_representable_scales():
+    x, y = _scaled_linear_table(1e150, 1e150)
+    assert infer_linear_direction(x, y).direction is Direction.X_TO_Y
