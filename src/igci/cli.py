@@ -4,6 +4,9 @@ Subcommands: infer (one pair file), pairs (manifest), simulate (benchmark
 grid or sine sweep), tracedir (multivariate linear pairs), align (lag
 search), verify (numeric identity and noise-bound checks).
 
+Every output record is built here, from the command's arguments and the
+library's results; igci.io renders them as JSON lines or TSV.
+
 Exit codes: 0 success, 1 usage error, 2 unusable data, 3 numeric failure.
 The base seed comes from --seed, else the IGCI_SEED environment variable,
 else 0.
@@ -135,12 +138,34 @@ def _cmd_infer(args) -> int:
         "c_xy": report.c_xy,
         "c_yx": report.c_yx,
         "direction": report.direction.value,
-        "estimator": report.estimator.value,
-        "reference": report.reference.value,
+        "estimator": estimator.value,
+        "reference": reference.value,
         "m_used": report.m_used,
     }
     _emit([record], args.format)
     return EXIT_OK
+
+
+def _entry_record(entry_report) -> dict:
+    """A pairs entry: its scores (None where it failed), then its truth and outcome."""
+    entry, report = entry_report.entry, entry_report.report
+    scores = dict.fromkeys(("c_xy", "c_yx", "direction", "m_used"))
+    if report is not None:
+        scores = {
+            "c_xy": report.c_xy,
+            "c_yx": report.c_yx,
+            "direction": report.direction.value,
+            "m_used": report.m_used,
+        }
+    return {
+        "record": "pair",
+        "id": entry.entry_id,
+        **scores,
+        "truth": entry.truth.value if entry.truth else None,
+        "weight": entry.weight,
+        "correct": entry_report.correct,
+        "error": entry_report.error,
+    }
 
 
 def _cmd_pairs(args) -> int:
@@ -148,10 +173,29 @@ def _cmd_pairs(args) -> int:
     manifest = load_manifest(args.manifest)
     summary = evaluate_manifest(manifest, reference=reference, estimator=estimator)
     records = [
-        {"record": "config", "estimator": estimator.value, "reference": reference.value}
-    ] + summary.to_records()
+        {"record": "config", "estimator": estimator.value, "reference": reference.value},
+        *(_entry_record(r) for r in summary.reports),
+        {
+            "record": "summary",
+            "entries": len(summary.reports),
+            "decisions_pct": summary.decisions_pct,
+            "accuracy_pct": summary.accuracy_pct,
+        },
+    ]
     _emit(records, args.format)
     return EXIT_OK
+
+
+def _cell_record(tally, **labels) -> dict:
+    """A simulate cell: its labels, then its tally."""
+    return {
+        "record": "cell",
+        **labels,
+        "correct": tally.correct,
+        "wrong": tally.wrong,
+        "undecided": tally.undecided,
+        "accuracy_pct": tally.accuracy_pct,
+    }
 
 
 def _cmd_simulate(args) -> int:
@@ -172,6 +216,14 @@ def _cmd_simulate(args) -> int:
             reference=reference,
             seed=seed,
         )
+        config = {
+            "m": args.m,
+            "repetitions": args.reps,
+            "noise": noise.kind.value,
+            "lambda": noise.lam,
+            "laplace_scale": noise.laplace_scale,
+        }
+        cells = [_cell_record(tally, row=row, col=col) for (row, col), tally in result.cells.items()]
     else:
         result = run_sine(
             epsilon=args.epsilon,
@@ -182,7 +234,10 @@ def _cmd_simulate(args) -> int:
             reference=reference,
             seed=seed,
         )
-    _emit(result.to_records(), args.format)
+        config = {"epsilon": args.epsilon, "omega": args.omega, "m": args.m, "repetitions": args.reps}
+        cells = [_cell_record(tally, input=label) for label, tally in result.entries]
+    config.update(estimator=estimator.value, reference=reference.value, seed=seed)
+    _emit([{"record": "config", **config}, *cells], args.format)
     return EXIT_OK
 
 

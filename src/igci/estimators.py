@@ -68,8 +68,6 @@ class IgciReport:
     c_xy: float
     c_yx: float
     direction: Direction
-    estimator: EstimatorKind
-    reference: ReferenceFamily
     m_used: int
 
 
@@ -210,4 +208,4 @@ def igci_score(
     """
     c_xy, m_used = _one_row(_score_stack, pair.x[None], pair.y[None], reference, estimator)
     c_xy = float(c_xy[0])
-    return IgciReport(c_xy, -c_xy, _direction(c_xy), estimator, reference, int(m_used[0]))
+    return IgciReport(c_xy, -c_xy, _direction(c_xy), int(m_used[0]))

@@ -193,11 +193,9 @@ _ALIGN_RTOL = 1e-9
 
 
 def _score_lag(a: np.ndarray, b: np.ndarray, lag: int) -> Optional[LagAlignment]:
-    """np.corrcoef of a[i] against b[i + lag], or None for a skipped overlap."""
+    """np.corrcoef of a[i] against b[i + lag], or None for a constant overlap."""
     start = max(0, -lag)
     stop = min(a.size, b.size - lag)
-    if stop - start < 3:
-        return None
     seg_a = a[start:stop]
     seg_b = b[start + lag : stop + lag]
     if seg_a.std() == 0.0 or seg_b.std() == 0.0:
@@ -251,8 +249,9 @@ def align_lag(a, b, max_lag: int) -> LagAlignment:
     a positive result means b lags behind a. The winner maximizes the
     absolute Pearson correlation, with ties broken toward the smallest |L|
     (then the smaller signed L); the reported correlation keeps its sign.
-    Lags whose overlap is constant or shorter than 3 are skipped; if every
-    lag is skipped the series cannot be aligned. A non-finite value is a
+    Both series need at least max_lag + 3 rows, so every overlap has at
+    least 3. Lags whose overlap is constant are skipped; if every lag is
+    skipped the series cannot be aligned. A non-finite value is a
     DataError: dropping its row would shift the series.
 
     One FFT pass bounds |r| for every lag in O(n log n); only the lags
@@ -350,46 +349,12 @@ class EntryReport:
     def decided(self) -> bool:
         return self.report is not None and self.report.direction is not Direction.UNDECIDED
 
-    def to_record(self) -> dict:
-        rec = {
-            "record": "pair",
-            "id": self.entry.entry_id,
-            "c_xy": None,
-            "c_yx": None,
-            "direction": None,
-            "m_used": None,
-            "truth": self.entry.truth.value if self.entry.truth else None,
-            "weight": self.entry.weight,
-            "correct": self.correct,
-            "error": self.error,
-        }
-        if self.report is not None:
-            rec.update(
-                c_xy=self.report.c_xy,
-                c_yx=self.report.c_yx,
-                direction=self.report.direction.value,
-                m_used=self.report.m_used,
-            )
-        return rec
-
 
 @dataclass(frozen=True)
 class ManifestSummary:
     reports: tuple
     decisions_pct: float
     accuracy_pct: Optional[float]
-
-    def to_records(self) -> list:
-        records = [r.to_record() for r in self.reports]
-        records.append(
-            {
-                "record": "summary",
-                "entries": len(self.reports),
-                "decisions_pct": self.decisions_pct,
-                "accuracy_pct": self.accuracy_pct,
-            }
-        )
-        return records
 
 
 def evaluate_manifest(

@@ -294,17 +294,6 @@ class CellTally:
         # reported on their own so the choice is visible.
         return 100.0 * self.correct / self.total if self.total else float("nan")
 
-    def to_record(self, **labels) -> dict:
-        """Output record for this cell: the labels, then the tally."""
-        return {
-            "record": "cell",
-            **labels,
-            "correct": self.correct,
-            "wrong": self.wrong,
-            "undecided": self.undecided,
-            "accuracy_pct": self.accuracy_pct,
-        }
-
 
 GRID_INPUTS: tuple = (
     ("A", InputDist(InputKind.UNIFORM)),
@@ -335,29 +324,6 @@ SINE_INPUTS: tuple = (
 @dataclass(frozen=True)
 class SimGridResult:
     cells: dict
-    m: int
-    repetitions: int
-    noise: NoiseSpec
-    estimator: EstimatorKind
-    reference: ReferenceFamily
-    seed: int
-
-    def to_records(self) -> list:
-        records = [
-            {
-                "record": "config",
-                "m": self.m,
-                "repetitions": self.repetitions,
-                "noise": self.noise.kind.value,
-                "lambda": self.noise.lam,
-                "laplace_scale": self.noise.laplace_scale,
-                "estimator": self.estimator.value,
-                "reference": self.reference.value,
-                "seed": self.seed,
-            }
-        ]
-        records.extend(tally.to_record(row=row, col=col) for (row, col), tally in self.cells.items())
-        return records
 
 
 # Values per scoring block: 64 KiB of float64, below glibc's 128 KiB mmap threshold,
@@ -440,47 +406,16 @@ def run_grid(
         for i, (row_label, dist) in enumerate(GRID_INPUTS)
         for j, (col_label, col_kind) in enumerate(GRID_MECHANISMS)
     ]
-    return SimGridResult(
-        cells=dict(_run_cells(cells, draw, m, repetitions, estimator, reference, seed)),
-        m=m,
-        repetitions=repetitions,
-        noise=noise,
-        estimator=estimator,
-        reference=reference,
-        seed=seed,
-    )
+    return SimGridResult(cells=dict(_run_cells(cells, draw, m, repetitions, estimator, reference, seed)))
 
 
 @dataclass(frozen=True)
 class SineResult:
     entries: tuple
-    epsilon: float
-    omega: float
-    m: int
-    repetitions: int
-    estimator: EstimatorKind
-    reference: ReferenceFamily
-    seed: int
 
     @property
     def mean_accuracy_pct(self) -> float:
         return float(np.mean([tally.accuracy_pct for _, tally in self.entries]))
-
-    def to_records(self) -> list:
-        records = [
-            {
-                "record": "config",
-                "epsilon": self.epsilon,
-                "omega": self.omega,
-                "m": self.m,
-                "repetitions": self.repetitions,
-                "estimator": self.estimator.value,
-                "reference": self.reference.value,
-                "seed": self.seed,
-            }
-        ]
-        records.extend(tally.to_record(input=label) for label, tally in self.entries)
-        return records
 
 
 def run_sine(
@@ -510,35 +445,22 @@ def run_sine(
         return x + epsilon * np.sin(omega * x)
 
     cells = [(label, (i,), dist) for i, (label, dist) in enumerate(SINE_INPUTS)]
-    return SineResult(
-        entries=tuple(_run_cells(cells, draw, m, repetitions, estimator, reference, seed)),
-        epsilon=epsilon,
-        omega=omega,
-        m=m,
-        repetitions=repetitions,
-        estimator=estimator,
-        reference=reference,
-        seed=seed,
-    )
+    return SineResult(entries=tuple(_run_cells(cells, draw, m, repetitions, estimator, reference, seed)))
 
 
 # Bins of the kernel density grid in estimate_fisher_information.
 _FISHER_GRID = 4096
 
 
-def estimate_fisher_information(
-    values,
-    bandwidth: Optional[float] = None,
-    deconvolve: bool = True,
-) -> float:
+def estimate_fisher_information(values) -> float:
     """Plug-in Fisher information of a scalar density from a sample.
 
-    A binned Gaussian kernel density (Silverman reference bandwidth by
-    default) supplies the score function; the integral of score**2 times
-    density is taken on the grid. Kernel smoothing biases the result low
-    by roughly the bandwidth variance, and for a Gaussian shape exactly so
-    (1/J grows by h**2 under h-smoothing); deconvolve=True removes that
-    term and is exact in the Gaussian case.
+    A binned Gaussian kernel density with Silverman's reference bandwidth h
+    supplies the score function; the integral of score**2 times density is
+    taken on the grid. Kernel smoothing biases the result low by roughly
+    the bandwidth variance, and for a Gaussian shape exactly so (1/J grows
+    by h**2 under h-smoothing); that term is removed, which is exact in the
+    Gaussian case.
     """
     arr = _as_finite_vector(values, "values")
     m = arr.size
@@ -547,12 +469,10 @@ def estimate_fisher_information(
     std = float(arr.std())
     if std == 0.0:
         raise ConstantInputError("constant sample has no density")
-    if bandwidth is None:
-        q25, q75 = np.percentile(arr, [25.0, 75.0])
-        iqr = float(q75 - q25)
-        spread = min(std, iqr / 1.349) if iqr > 0.0 else std
-        bandwidth = 0.9 * spread * m ** (-0.2)
-    h = float(bandwidth)
+    q25, q75 = np.percentile(arr, [25.0, 75.0])
+    iqr = float(q75 - q25)
+    spread = min(std, iqr / 1.349) if iqr > 0.0 else std
+    h = 0.9 * spread * m ** (-0.2)
     if not (h > 0.0 and math.isfinite(h)):
         raise DomainError(f"bandwidth must be positive, got {h!r}")
     lo = float(arr.min()) - 5.0 * h
@@ -568,7 +488,7 @@ def estimate_fisher_information(
     slope = np.gradient(density, delta)
     mask = density > density.max() * 1e-12
     info = float(np.sum(slope[mask] ** 2 / density[mask]) * delta)
-    if deconvolve and info > 0.0:
+    if info > 0.0:
         inv = 1.0 / info - h * h
         if inv > 0.0:
             info = 1.0 / inv

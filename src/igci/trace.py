@@ -53,17 +53,20 @@ def trace_gap(a, sigma_x) -> float:
     tau(B) = tr(B)/d is the renormalized trace. The gap is zero when the
     overall scaling of the map is unrelated to the input covariance, for
     instance when Sigma is any multiple of the identity. Invariant under
-    rescaling of A.
+    rescaling of A. A trace that overflows float64 raises DataError.
     """
     a_arr = _square(a, "a")
     s_arr = _square(sigma_x, "sigma_x")
     if a_arr.shape != s_arr.shape:
         raise DimensionMismatchError(f"a is {a_arr.shape}, sigma_x is {s_arr.shape}")
     d = a_arr.shape[0]
-    pushed = float(np.trace(a_arr @ s_arr @ a_arr.T)) / d
-    map_scale = float(np.trace(a_arr @ a_arr.T)) / d
-    input_scale = float(np.trace(s_arr)) / d
+    with np.errstate(over="ignore", invalid="ignore"):
+        pushed = float(np.trace(a_arr @ s_arr @ a_arr.T)) / d
+        map_scale = float(np.trace(a_arr @ a_arr.T)) / d
+        input_scale = float(np.trace(s_arr)) / d
     for name, value in (("a@sigma@a.T", pushed), ("a@a.T", map_scale), ("sigma_x", input_scale)):
+        if not np.isfinite(value):
+            raise DataError(f"renormalized trace of {name} overflows float64 (got {value!r})")
         if value <= 0.0:
             raise NonPositiveTraceError(f"renormalized trace of {name} is {value!r}")
     return float(np.log(pushed) - np.log(map_scale) - np.log(input_scale))
@@ -149,14 +152,13 @@ def infer_linear_direction(
                 reverse = np.linalg.inv(a)
             except np.linalg.LinAlgError as exc:
                 raise SingularFitError("forward map is not invertible") from exc
-        # trace_gap refuses a non-finite reverse map or a trace that underflowed to zero.
+        # trace_gap refuses a non-finite reverse map, a trace that overflows
+        # or one that underflowed to zero; logs of the rest are finite.
         try:
             gap_xy = trace_gap(a, sigma_x)
             gap_yx = trace_gap(reverse, sigma_y)
         except (DataError, NonPositiveTraceError) as exc:
             raise _range_error(x, y) from exc
-        if not _all_finite(gap_xy, gap_yx):
-            raise _range_error(x, y)
     return LinearDirectionResult(
         direction=_direction(abs(gap_xy) - abs(gap_yx)),
         gap_xy=gap_xy,

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import igci.cli
 from igci import SamplePair, write_pair
 from igci.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from igci.simulation import substream
@@ -150,6 +151,29 @@ def test_simulate_grid_small_run(capsys):
     assert len(records) == 26
     assert records[0]["record"] == "config" and records[0]["seed"] == 5
     assert all(r["correct"] + r["wrong"] + r["undecided"] == 2 for r in records[1:])
+
+
+def test_simulate_grid_config_record(capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--noise", "normal", "--lambda", "0.02", "--m", "50", "--reps", "2", "--seed", "9"
+    )
+    assert code == EXIT_OK
+    records = json_records(out)
+    assert records[0] == {
+        "record": "config",
+        "m": 50,
+        "repetitions": 2,
+        "noise": "normal",
+        "lambda": 0.02,
+        "laplace_scale": 0.2,
+        "estimator": "entropy",
+        "reference": "uniform",
+        "seed": 9,
+    }
+    assert len(records) == 26
+    code, out, _ = run_cli(capsys, "simulate", "--estimator", "slope", "--m", "80", "--reps", "2", "--seed", "91")
+    assert code == EXIT_OK
+    assert json_records(out)[0]["estimator"] == "slope"
 
 
 def test_simulate_repeat_invocations_match(capsys):
@@ -320,6 +344,8 @@ def test_tracedir_refit_flag(capsys, linear_table):
 def test_tracedir_column_errors(capsys, linear_table):
     code, _, err = run_cli(capsys, "tracedir", str(linear_table), "--x-cols", "a", "--y-cols", "2,3")
     assert code == EXIT_USAGE and "igci: error" in err
+    code, _, err = run_cli(capsys, "tracedir", str(linear_table), "--x-cols", ",", "--y-cols", "2,3")
+    assert code == EXIT_USAGE and err == "igci: error: --x-cols must name at least one column\n"
     code, _, err = run_cli(capsys, "tracedir", str(linear_table), "--x-cols", "0,9", "--y-cols", "2,3")
     assert code == EXIT_DATA
     code, _, err = run_cli(capsys, "tracedir", str(linear_table), "--x-cols", "0,0", "--y-cols", "2,3")
@@ -431,6 +457,82 @@ def test_verify_trials_below_one_is_usage(capsys, trials):
     code, out, err = run_cli(capsys, "verify", "--check", "kl-identity", "--trials", trials, "--seed", "6")
     assert code == EXIT_USAGE and out == ""
     assert f"--trials must be at least 1, got {trials}" in err
+
+
+# -------------------------------------------------------------- record schema
+
+@pytest.fixture
+def schema_inputs(tmp_path, cube_file, linear_table):
+    x = substream(208).standard_normal(120)
+    (tmp_path / "series.tsv").write_text("".join(f"{u:.17g}\t{v:.17g}\n" for u, v in zip(x, np.roll(x, 3))))
+    (tmp_path / "m.csv").write_text("a, cube.tsv, 0, 1, x->y\nb, absent.tsv, 0, 1, ?, 2\n")
+    return {"cube": cube_file, "linear": linear_table, "series": tmp_path / "series.tsv", "manifest": tmp_path / "m.csv"}
+
+
+# Per record kind: the command, the '# key=value' line of its config record
+# (None without one), which non-config record of the output to read, and
+# that record's keys in TSV column order.
+_SCHEMA = {
+    "infer": (["infer", "{cube}"], None, 0, "id c_xy c_yx direction estimator reference m_used"),
+    "pairs-entry": (
+        ["pairs", "{manifest}"],
+        "# estimator=entropy reference=uniform",
+        0,
+        "id c_xy c_yx direction m_used truth weight correct error",
+    ),
+    "pairs-summary": (
+        ["pairs", "{manifest}", "--estimator", "slope"],
+        "# estimator=slope reference=uniform",
+        -1,
+        "entries decisions_pct accuracy_pct",
+    ),
+    "simulate-grid": (
+        ["simulate", "--noise", "laplace", "--lambda", "0.1", "--m", "20", "--reps", "1", "--seed", "9"],
+        "# m=20 repetitions=1 noise=laplace lambda=0.1 laplace_scale=0.2 estimator=entropy reference=uniform seed=9",
+        0,
+        "row col correct wrong undecided accuracy_pct",
+    ),
+    "simulate-sine": (
+        ["simulate", "--experiment", "sine", "--m", "20", "--reps", "1", "--reference", "gaussian"],
+        "# epsilon=0.005 omega=40.0 m=20 repetitions=1 estimator=entropy reference=gaussian seed=0",
+        0,
+        "input correct wrong undecided accuracy_pct",
+    ),
+    "tracedir": (["tracedir", "{linear}", "--x-cols", "0,1", "--y-cols", "2,3"], None, 0, "direction gap_xy gap_yx residual_rel m d"),
+    "align": (["align", "{series}"], None, 0, "lag correlation overlap_length max_lag"),
+    "verify-kl-identity": (
+        ["verify", "--check", "kl-identity", "--trials", "5"],
+        None,
+        0,
+        "check trials max_residual tolerance pass",
+    ),
+    "verify-noise-bound": (
+        ["verify", "--check", "noise-bound", "--m", "20000"],
+        None,
+        0,
+        "check input sigma entropy_base entropy_noisy fisher bound gap pass",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_SCHEMA))
+def test_record_schema(capsys, monkeypatch, schema_inputs, kind):
+    argv, config, index, keys = _SCHEMA[kind]
+    emitted = []
+    render = igci.cli.format_tsv
+
+    def capture(records):
+        emitted.extend(records)
+        return render(records)
+
+    monkeypatch.setattr(igci.cli, "format_tsv", capture)
+    code, out, _ = run_cli(capsys, *(a.format(**schema_inputs) for a in argv), "--format", "tsv")
+    assert code == EXIT_OK
+    comments = [line for line in out.splitlines() if line.startswith("#")]
+    assert comments == ([config] if config else [])
+    body = [rec for rec in emitted if rec["record"] != "config"]
+    assert [k for k in body[index] if k != "record"] == keys.split()
+    assert out.splitlines()[len(comments)] == "\t".join(k for k in body[0] if k != "record")
 
 
 # ------------------------------------------------------------------ subprocess

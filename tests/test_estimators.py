@@ -139,7 +139,6 @@ def test_igci_score_cube_root_mechanism(estimator, reference):
     assert report.direction is Direction.X_TO_Y
     assert report.c_xy < 0.0
     assert report.c_yx == -report.c_xy
-    assert report.estimator is estimator and report.reference is reference
     assert report.m_used == 1000
 
 

@@ -47,7 +47,7 @@ NOISES = [NoiseSpec(), *(NoiseSpec(kind, 0.05) for kind in NoiseKind if kind is 
 @pytest.mark.parametrize("noise", NOISES)
 def test_grid_records_do_not_depend_on_the_worker_count(monkeypatch, noise):
     def run():
-        return run_grid(noise, m=80, repetitions=6, estimator=EstimatorKind.SLOPE_INTEGRAL, seed=61).to_records()
+        return run_grid(noise, m=80, repetitions=6, estimator=EstimatorKind.SLOPE_INTEGRAL, seed=61)
 
     records = [_on_workers(monkeypatch, n, run) for n in WORKERS]
     assert records[1] == records[0] and records[2] == records[0]
@@ -55,7 +55,7 @@ def test_grid_records_do_not_depend_on_the_worker_count(monkeypatch, noise):
 
 def test_sine_records_do_not_depend_on_the_worker_count(monkeypatch):
     def run():
-        return run_sine(m=80, repetitions=6, seed=62).to_records()
+        return run_sine(m=80, repetitions=6, seed=62)
 
     records = [_on_workers(monkeypatch, n, run) for n in WORKERS]
     assert records[1] == records[0] and records[2] == records[0]
@@ -82,11 +82,11 @@ def test_pairs_records_do_not_depend_on_the_worker_count(monkeypatch, tmp_path):
     def run():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return evaluate_manifest(manifest, estimator=EstimatorKind.SLOPE_INTEGRAL).to_records()
+            return evaluate_manifest(manifest, estimator=EstimatorKind.SLOPE_INTEGRAL)
 
-    records = [_on_workers(monkeypatch, n, run) for n in WORKERS]
-    assert records[1] == records[0] and records[2] == records[0]
-    assert [r["error"] is not None for r in records[0][:-1]] == [False] * 4 + [True] + [False] * 2
+    summaries = [_on_workers(monkeypatch, n, run) for n in WORKERS]
+    assert summaries[1] == summaries[0] and summaries[2] == summaries[0]
+    assert [r.error is not None for r in summaries[0].reports] == [False] * 4 + [True] + [False] * 2
 
 
 def test_pairs_warnings_reach_stderr_in_entry_order(monkeypatch, capsys, tmp_path):

@@ -370,13 +370,7 @@ def test_evaluate_manifest_clean_run(tmp_path):
     assert summary.accuracy_pct == 100.0
     assert [r.entry.entry_id for r in summary.reports] == ["a", "b", "c", "d"]
     assert summary.reports[3].correct is None  # unknown truth never counts
-    record = summary.to_records()[-1]
-    assert record == {
-        "record": "summary",
-        "entries": 4,
-        "decisions_pct": 100.0,
-        "accuracy_pct": 100.0,
-    }
+    assert all(r.decided and r.error is None for r in summary.reports)
 
 
 def test_evaluate_manifest_weights_and_errors(tmp_path):
@@ -393,7 +387,7 @@ def test_evaluate_manifest_weights_and_errors(tmp_path):
     assert summary.decisions_pct == pytest.approx(100.0 * 4.0 / 5.0, abs=1e-12)
     broken = summary.reports[2]
     assert broken.report is None and "rows" in broken.error
-    assert broken.to_record()["direction"] is None
+    assert not broken.decided and broken.correct is None
 
 
 def test_evaluate_manifest_order_invariance(tmp_path):

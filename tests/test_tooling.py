@@ -113,3 +113,15 @@ def test_substream_is_the_only_function_that_builds_a_seed_sequence_or_philox():
     for path in (ROOT / "src" / "igci").glob("*.py"):
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
     assert users == {"simulation.substream"}
+
+
+def test_output_records_are_built_only_in_the_cli():
+    # Every dict display with a "record" key is an output record; their schema lives in one module.
+    builders = set()
+    for path in (ROOT / "src" / "igci").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Dict) and any(
+                isinstance(key, ast.Constant) and key.value == "record" for key in node.keys
+            ):
+                builders.add(path.stem)
+    assert builders == {"cli"}

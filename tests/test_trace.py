@@ -69,6 +69,13 @@ def test_trace_gap_errors():
     assert type(excinfo.value) is DataError
 
 
+@pytest.mark.parametrize("a, sigma", [(1e200 * np.eye(2), np.eye(2)), (np.eye(2), np.diag([1e308, 1e308]))])
+def test_trace_gap_overflow_is_a_data_error(a, sigma):
+    # Each trace is computed once; one that overflows float64 is reported, not logged as nan.
+    with pytest.raises(DataError, match="overflows float64"):
+        trace_gap(a, sigma)
+
+
 # ----------------------------------------------------------- linear direction
 
 def _linear_case(seed: int, d: int = 8, m: int = 4000, noise: float = 0.0):
