@@ -1,9 +1,12 @@
 """File formats, lag alignment, and manifest evaluation.
 
 Data files are plain UTF-8 text: one row per observation, columns
-separated by whitespace or commas, '#' starts a comment line. Manifests are
-CSV with columns id, path, x_col, y_col, truth, weight (the last two
-optional); paths are resolved relative to the manifest's directory.
+separated by whitespace or commas. Two rules shape every table: '#' starts
+a comment that runs to the end of its line, and a comma-separated line has
+no empty field before its last value (a trailing comma is accepted).
+Manifests are CSV with columns id, path, x_col, y_col, truth, weight (the
+last two optional); paths are resolved relative to the manifest's
+directory.
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ __all__ = [
 
 
 def _tokenize(line: str) -> list:
-    return [t for t in (line.split(",") if "," in line else line.split()) if t != ""]
+    """Fields of a stripped data line. Trailing commas end it; any other
+    empty comma field stays, as '', for float() to reject."""
+    return line.rstrip(",").split(",") if "," in line else line.split()
 
 
 def _read_text(path: Path) -> str:
@@ -68,30 +73,13 @@ def _read_text(path: Path) -> str:
         ) from None
 
 
-def _comments_start_lines(text: str) -> bool:
-    """Whether every '#' sits on a line whose first non-blank character is '#'.
-
-    A '#' later in a data line makes the line parser reject the line, where
-    np.loadtxt would drop the rest of it as a comment.
-    """
-    pos = text.find("#")
-    while pos != -1:
-        if text[text.rfind("\n", 0, pos) + 1 : pos].strip():
-            return False
-        end = text.find("\n", pos)
-        if end == -1:
-            return True
-        pos = text.find("#", end)
-    return True
-
-
 def _parse_lines(path: Path, text: str) -> np.ndarray:
     """Line-by-line reader, and the only source of the line-numbered errors."""
     rows = []
     width = None
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         tokens = _tokenize(line)
         if width is None:
@@ -110,6 +98,10 @@ def _parse_lines(path: Path, text: str) -> np.ndarray:
 def load_table(path) -> np.ndarray:
     """Read a whole numeric table; every data row must have the same width.
 
+    '#' starts a comment that runs to the end of its line. An empty field
+    before the last value of a comma-separated line ('1,,2', ',1,2') is a
+    ParseError naming its line; a trailing comma is accepted.
+
     np.loadtxt reads well-formed files in one pass. It accepts a subset of
     what the line parser accepts, with the same values, so any file it
     rejects (or finds empty) is handed to the line parser, which returns
@@ -125,7 +117,7 @@ def load_table(path) -> np.ndarray:
             table = np.loadtxt(
                 path,
                 dtype=np.float64,
-                comments="#" if _comments_start_lines(text) else None,
+                comments="#",
                 delimiter="," if "," in text else None,
                 ndmin=2,
                 encoding="utf-8",
@@ -190,6 +182,8 @@ class LagAlignment:
 # Error budget of the FFT pass, relative to each whole series' centred sum
 # of squares; it sits far above the rounding of prefix sums and FFTs.
 _ALIGN_RTOL = 1e-9
+_FLOAT_TINY = float(np.finfo(np.float64).tiny)
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def _score_lag(a: np.ndarray, b: np.ndarray, lag: int) -> Optional[LagAlignment]:
@@ -233,12 +227,13 @@ def _candidate_lags(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
     cov = np.abs(cross - s_a * s_b / n)
     err_a = _ALIGN_RTOL * sq_a[-1]
     err_b = _ALIGN_RTOL * sq_b[-1]
-    err_ab = _ALIGN_RTOL * np.sqrt(sq_a[-1] * sq_b[-1])
+    # Square roots before products: a product of two sums of squares can overflow.
+    err_ab = _ALIGN_RTOL * np.sqrt(sq_a[-1]) * np.sqrt(sq_b[-1])
     sure = (var_a > err_a) & (var_b > err_b)
     low = np.full(lags.size, -np.inf)
     high = np.full(lags.size, np.inf)
-    low[sure] = (cov[sure] - err_ab) / np.sqrt((var_a[sure] + err_a) * (var_b[sure] + err_b))
-    high[sure] = (cov[sure] + err_ab) / np.sqrt((var_a[sure] - err_a) * (var_b[sure] - err_b))
+    low[sure] = (cov[sure] - err_ab) / (np.sqrt(var_a[sure] + err_a) * np.sqrt(var_b[sure] + err_b))
+    high[sure] = (cov[sure] + err_ab) / (np.sqrt(var_a[sure] - err_a) * np.sqrt(var_b[sure] - err_b))
     return lags[high >= low.max()]
 
 
@@ -252,7 +247,10 @@ def align_lag(a, b, max_lag: int) -> LagAlignment:
     Both series need at least max_lag + 3 rows, so every overlap has at
     least 3. Lags whose overlap is constant are skipped; if every lag is
     skipped the series cannot be aligned. A non-finite value is a
-    DataError: dropping its row would shift the series.
+    DataError: dropping its row would shift the series. So is a series
+    whose centred sum of squares float64 cannot carry: zero or subnormal
+    for values that are not all equal, or above the float64 maximum over
+    4 times the longer series' length.
 
     One FFT pass bounds |r| for every lag in O(n log n); only the lags
     that may win are then scored exactly with np.corrcoef.
@@ -271,6 +269,15 @@ def align_lag(a, b, max_lag: int) -> LagAlignment:
     if a.size < max_lag + 3 or b.size < max_lag + 3:
         raise TooFewRowsError(
             f"series of lengths {a.size} and {b.size} are too short for max_lag {max_lag}"
+        )
+    # The FFT pass sums up to 4 n cross products before it normalises.
+    limit = _FLOAT_MAX / (4 * max(a.size, b.size))
+    with np.errstate(all="ignore"):  # an overflow or underflow fails the check below
+        sq = [float(np.sum(np.square(s - s.mean()))) for s in (a, b)]
+    if not all(q <= limit and (q >= _FLOAT_TINY or s.min() == s.max()) for s, q in zip((a, b), sq)):
+        raise DataError(
+            f"series ranges [{a.min():g}, {a.max():g}] and [{b.min():g}, {b.max():g}] "
+            "are beyond what a float64 correlation can carry"
         )
     best: Optional[LagAlignment] = None
     for lag in sorted(_candidate_lags(a, b, max_lag).tolist(), key=lambda L: (abs(L), L)):
@@ -410,19 +417,18 @@ def format_json_lines(records: Sequence[dict]) -> str:
 
 
 def format_tsv(records: Sequence[dict]) -> str:
-    """Tab-separated rendering: config records become '#' comment lines,
-    remaining records share a header taken from the first of them."""
+    """Tab-separated rendering: a config record becomes a '#' comment line,
+    any other record a row; a header of the row's keys comes first, and
+    again whenever they differ from the previous row's keys."""
     out = []
-    body = []
+    header = None
     for rec in records:
+        keys = [k for k in rec if k != "record"]
         if rec.get("record") == "config":
-            items = [f"{k}={_tsv_cell(v)}" for k, v in rec.items() if k != "record"]
-            out.append("# " + " ".join(items) + "\n")
-        else:
-            body.append(rec)
-    if body:
-        header = [k for k in body[0] if k != "record"]
-        out.append("\t".join(header) + "\n")
-        for rec in body:
-            out.append("\t".join(_tsv_cell(rec.get(k)) for k in header) + "\n")
+            out.append("# " + " ".join(f"{k}={_tsv_cell(rec[k])}" for k in keys) + "\n")
+            continue
+        if keys != header:
+            header = keys
+            out.append("\t".join(header) + "\n")
+        out.append("\t".join(_tsv_cell(rec[k]) for k in keys) + "\n")
     return "".join(out)

@@ -28,6 +28,7 @@ from ._fanout import fan_out
 from .core import Direction, ReferenceFamily, _as_finite_vector
 from .errors import (
     ConstantInputError,
+    DataError,
     DomainError,
     SamplingStalledError,
     TooFewRowsError,
@@ -460,25 +461,26 @@ def estimate_fisher_information(values) -> float:
     taken on the grid. Kernel smoothing biases the result low by roughly
     the bandwidth variance, and for a Gaussian shape exactly so (1/J grows
     by h**2 under h-smoothing); that term is removed, which is exact in the
-    Gaussian case.
+    Gaussian case. A sample whose standard deviation, bandwidth or grid
+    float64 cannot carry is a DataError naming its range.
     """
     arr = _as_finite_vector(values, "values")
     m = arr.size
     if m < 16:
         raise TooFewRowsError(f"need at least 16 values, got {m}")
-    std = float(arr.std())
-    if std == 0.0:
+    lo, hi = float(arr.min()), float(arr.max())
+    if lo == hi:
         raise ConstantInputError("constant sample has no density")
-    q25, q75 = np.percentile(arr, [25.0, 75.0])
-    iqr = float(q75 - q25)
-    spread = min(std, iqr / 1.349) if iqr > 0.0 else std
-    h = 0.9 * spread * m ** (-0.2)
-    if not (h > 0.0 and math.isfinite(h)):
-        raise DomainError(f"bandwidth must be positive, got {h!r}")
-    lo = float(arr.min()) - 5.0 * h
-    hi = float(arr.max()) + 5.0 * h
-    edges = np.linspace(lo, hi, _FISHER_GRID + 1)
-    delta = float(edges[1] - edges[0])
+    with np.errstate(all="ignore"):  # an overflow or underflow fails the check below
+        std = float(arr.std())
+        q25, q75 = np.percentile(arr, [25.0, 75.0])
+        iqr = float(q75 - q25)
+        spread = min(std, iqr / 1.349) if iqr > 0.0 else std
+        h = 0.9 * spread * m ** (-0.2)
+        edges = np.linspace(lo - 5.0 * h, hi + 5.0 * h, _FISHER_GRID + 1)
+        delta = float(edges[1] - edges[0])
+    if not (math.isfinite(std) and h > 0.0 and 0.0 < delta < math.inf):
+        raise DataError(f"values in [{lo:g}, {hi:g}] have a spread float64 cannot carry")
     counts, _ = np.histogram(arr, bins=edges)
     radius = int(math.ceil(6.0 * h / delta))
     offsets = np.arange(-radius, radius + 1) * delta

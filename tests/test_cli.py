@@ -101,6 +101,23 @@ def test_infer_non_utf8_file_is_a_data_error(capsys, tmp_path):
     assert "data error" in err and ":3: not UTF-8" in err and "offset 10" in err
 
 
+def test_infer_empty_comma_field_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "gap.csv"
+    path.write_text("".join(f"{v},,{v * v}\n" for v in (0.1, 0.2, 0.3, 0.4)))
+    code, out, err = run_cli(capsys, "infer", str(path), "--y-col", "1")
+    assert code == EXIT_DATA and out == ""
+    assert f"igci: data error: {path}:1:" in err
+
+
+def test_infer_trailing_comments_leave_the_record_unchanged(capsys, tmp_path, cube_file):
+    noted = tmp_path / "noted.tsv"
+    lines = cube_file.read_text().splitlines()
+    noted.write_text("".join(f"{line}  # row {i}, noted\n" for i, line in enumerate(lines)))
+    expected = run_cli(capsys, "infer", str(cube_file), "--id", "cube")
+    assert run_cli(capsys, "infer", str(noted), "--id", "cube") == expected
+    assert expected[0] == EXIT_OK and expected[2] == ""
+
+
 def test_infer_slope_overflow_is_a_data_error(capsys, tmp_path):
     path = tmp_path / "subnormal.tsv"
     path.write_text("0 0\n5e-324 0.5\n1 1\n0.5 0.7\n")
@@ -289,6 +306,32 @@ def test_pairs_records_unreadable_entries_and_keeps_going(capsys, tmp_path):
     assert summary["decisions_pct"] == pytest.approx(100.0 / 3.0)
 
 
+def test_pairs_entry_with_an_empty_comma_field_is_an_error_record(capsys, tmp_path):
+    x = substream(206).random(500)
+    write_pair(tmp_path / "good.tsv", SamplePair(x, np.cbrt(x)))
+    (tmp_path / "gap.csv").write_text("".join(f"{v},,{v ** 3}\n" for v in x[:50]))
+    (tmp_path / "m.csv").write_text("good, good.tsv, 0, 1, x->y\ngap, gap.csv, 0, 1, x->y\n")
+    code, out, err = run_cli(capsys, "pairs", str(tmp_path / "m.csv"))
+    assert code == EXIT_OK and err == ""
+    _, good, gap, summary = json_records(out)
+    assert good["correct"] is True
+    assert gap["c_xy"] is None and gap["correct"] is None
+    assert "gap.csv:1:" in gap["error"]
+    assert summary["decisions_pct"] == 50.0
+
+
+def test_pairs_tsv_ends_with_the_summary_under_its_own_header(capsys, tmp_path):
+    x = substream(206).random(500)
+    write_pair(tmp_path / "good.tsv", SamplePair(x, np.cbrt(x)))
+    (tmp_path / "m.csv").write_text("a, good.tsv, 0, 1, x->y\nb, good.tsv, 1, 0, y->x, 3\n")
+    code, out, err = run_cli(capsys, "pairs", str(tmp_path / "m.csv"), "--format", "tsv")
+    assert code == EXIT_OK and err == ""
+    lines = out.splitlines()
+    assert lines[1] == "id\tc_xy\tc_yx\tdirection\tm_used\ttruth\tweight\tcorrect\terror"
+    assert [line.split("\t")[0] for line in lines[2:4]] == ["a", "b"]
+    assert lines[-2:] == ["entries\tdecisions_pct\taccuracy_pct", "2\t100.0\t100.0"]
+
+
 def test_pairs_non_utf8_manifest_is_a_data_error(capsys, tmp_path):
     (tmp_path / "m.csv").write_bytes(b"a, p\xff.tsv, 0, 1\n")
     code, out, err = run_cli(capsys, "pairs", str(tmp_path / "m.csv"))
@@ -424,6 +467,15 @@ def test_align_non_finite_value_is_a_data_error(capsys, tmp_path):
     assert err == "igci: data error: series b has a non-finite value at row 150 (counting from 0)\n"
 
 
+def test_align_scale_beyond_float64_is_a_data_error(capsys, tmp_path):
+    a = 1e302 * substream(209).standard_normal(101)
+    path = tmp_path / "huge.tsv"
+    path.write_text("".join(f"{u:.17g}\t{v:.17g}\n" for u, v in zip(a, np.roll(a, 2))))
+    code, out, err = run_cli(capsys, "align", str(path))
+    assert code == EXIT_DATA and out == ""
+    assert err.startswith("igci: data error: series ranges [") and err.count("\n") == 1
+
+
 def test_align_negative_max_lag_is_usage(capsys, tmp_path):
     path = tmp_path / "s.tsv"
     path.write_text("".join(f"{v} {v}\n" for v in range(30)))
@@ -450,6 +502,20 @@ def test_verify_all_checks_pass(capsys):
     assert len(records) == 1 + 3 * 3  # one identity record, three sigma levels per input
     assert all(r["pass"] for r in records)
 
+
+
+def test_verify_all_tsv_heads_each_check(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--check", "all", "--trials", "5", "--m", "20000", "--seed", "6", "--format", "tsv"
+    )
+    assert code == EXIT_OK, err
+    lines = out.splitlines()
+    assert lines[0] == "check\ttrials\tmax_residual\ttolerance\tpass"
+    assert lines[2] == "check\tinput\tsigma\tentropy_base\tentropy_noisy\tfisher\tbound\tgap\tpass"
+    rows = [line.split("\t") for line in lines[3:]]
+    assert len(rows) == 3 * 3
+    assert all(len(row) == 9 and row[0] == "noise-bound" and row[-1] == "true" for row in rows)
+    assert all("" not in row for row in rows)
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,18 @@ def test_discrete_kl_nonnegative(raw_p, seed):
     q = q / q.sum()
     assert discrete_kl(p, q) >= 0.0
     assert discrete_kl(p, p) == 0.0
+
+
+def test_discrete_kl_ratio_beyond_float64():
+    # p / q overflows here; the divergence itself is about 367.72
+    p, q = [0.5, 0.5], [1.0 - 1e-320, 1e-320]
+    expected = 0.5 * math.log(0.5) + 0.5 * (math.log(0.5) - math.log(1e-320))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert discrete_kl(p, q) == pytest.approx(expected, rel=1e-12)
+        via, direct = kl_additivity_gap(p, q, p)
+    assert via == pytest.approx(direct, rel=1e-12)
+    assert direct == pytest.approx(-expected - discrete_kl(q, p), rel=1e-12)
 
 
 def test_kl_additivity_identity_seeded():

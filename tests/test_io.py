@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,20 @@ def test_load_table_reports_line_numbers(tmp_path):
         load_table(p)
 
 
+def test_load_table_comment_runs_to_the_end_of_its_line(tmp_path):
+    p = tmp_path / "t.tsv"
+    p.write_text("1 2 # first\n3,4,# a trailing comma, then a comment\n5\t6#\n")
+    assert load_table(p).tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+
+@pytest.mark.parametrize("row", ["0.1,,0.2", ",0.1,0.2", ","])
+def test_load_table_empty_comma_field_is_an_error_naming_its_line(tmp_path, row):
+    p = tmp_path / "gap.csv"
+    p.write_text(f"# every row alike\n{row}\n{row}\n")
+    with pytest.raises(ParseError, match=":2:"):
+        load_table(p)
+
+
 def test_load_table_empty_and_missing(tmp_path):
     p = tmp_path / "empty.tsv"
     p.write_text("# nothing here\n")
@@ -84,17 +99,26 @@ def _table_texts(draw):
     sep = draw(seps)
     lines = []
     for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["row"] * 6 + ["comment", "blank", "ragged", "odd", "mixed"]))
+        kind = draw(
+            st.sampled_from(["row"] * 6 + ["comment", "blank", "ragged", "odd", "mixed", "noted", "gap"])
+        )
         if kind == "comment":
             lines.append(draw(st.sampled_from(["# note", "  # x, y", "#", "## a # b"])))
         elif kind == "blank":
             lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        elif kind == "gap":  # a comma row with an empty field before its last value
+            tokens = draw(st.lists(_NUMBER_TOKENS, min_size=width, max_size=width))
+            tokens.insert(draw(st.integers(0, width - 1)), "")
+            lines.append(draw(st.sampled_from([",", ", "])).join(tokens))
         else:
             n = draw(st.integers(1, 5)) if kind == "ragged" else width
             tokens = draw(st.lists(_NUMBER_TOKENS, min_size=n, max_size=n))
             if kind == "odd":
                 tokens[draw(st.integers(0, n - 1))] = draw(_ODD_TOKENS)
-            lines.append((draw(seps) if kind == "mixed" else sep).join(tokens))
+            line = (draw(seps) if kind == "mixed" else sep).join(tokens)
+            if kind == "noted":  # a data line with a trailing comment
+                line += draw(st.sampled_from([" # note", "#", "\t# x, y", "#1 2"]))
+            lines.append(line)
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
@@ -280,6 +304,28 @@ def test_align_lag_guards():
         align_lag(a, np.ones(20), max_lag=2)
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_align_lag_scale_beyond_float64_is_a_data_error(scale):
+    a = substream(107).standard_normal(101)
+    b = np.roll(a, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"series ranges \[-.*\] and \[-.*\] are beyond"):
+            align_lag(scale * a, scale * b, max_lag=10)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+def test_align_lag_extreme_scales_that_float64_carries(scale):
+    a = substream(107).standard_normal(101)
+    b = np.roll(a, 3) + 0.1 * substream(108).standard_normal(101)
+    expected = align_lag(a, b, max_lag=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = align_lag(scale * a, scale * b, max_lag=10)
+    assert (found.lag, found.overlap_length) == (expected.lag, expected.overlap_length)
+    assert found.correlation == pytest.approx(expected.correlation, rel=1e-12)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_align_lag_rejects_non_finite_values_before_the_fft_pass(monkeypatch, bad):
     def no_fft(*args):
@@ -422,6 +468,26 @@ def test_format_tsv_layout():
         "row\tvalue\tnote\n"
         "A\t0.5\t\n"
         "B\t1.0\tx\n"
+    )
+
+
+def test_format_tsv_heads_each_layout():
+    records = [
+        {"record": "config", "seed": 1},
+        {"record": "pair", "id": "a", "c_xy": 0.5},
+        {"record": "pair", "id": "b", "c_xy": None},
+        {"record": "summary", "entries": 2},
+        {"record": "pair", "id": "c", "c_xy": 1.5},
+    ]
+    assert format_tsv(records) == (
+        "# seed=1\n"
+        "id\tc_xy\n"
+        "a\t0.5\n"
+        "b\t\n"
+        "entries\n"
+        "2\n"
+        "id\tc_xy\n"
+        "c\t1.5\n"
     )
 
 

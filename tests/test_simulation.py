@@ -485,6 +485,26 @@ def test_fisher_information_guards():
         estimate_fisher_information(np.full(100, 2.0))
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_fisher_information_scale_beyond_float64_is_a_data_error(scale):
+    x = scale * substream(19).standard_normal(200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"values in \[-.*\] have a spread float64 cannot carry"):
+            estimate_fisher_information(x)
+        with pytest.raises(DataError, match="have a spread float64 cannot carry"):
+            verify_noise_bound(x, sigma_levels=(0.5,))
+
+
+def test_fisher_information_near_the_float64_maximum_is_a_data_error():
+    rng = substream(20)
+    x = rng.uniform(9e307, 1e308, 50) * rng.choice([-1.0, 1.0], 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="values in .* have a spread float64 cannot carry"):
+            estimate_fisher_information(x)
+
+
 # ---------------------------------------------------------------- noise bound
 
 def test_verify_noise_bound_gaussian_holds_and_is_tight():
