@@ -413,10 +413,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        return EXIT_OK if exc.code is None else EXIT_USAGE
+    except SystemExit as exc:  # --help exits 0, _Parser.error exits EXIT_USAGE
+        return exc.code
     # Every warning, the library's included, becomes one line on stderr.
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning

@@ -124,24 +124,40 @@ class MultiSample:
 
 def _one_row(stack_fn, *args):
     """stack_fn(errors, *args) on one-row stacks, raising the row's error.
-    Stack functions map a failing row's index to its first error in errors."""
+    Stack functions map a failing row's index to its first error in errors;
+    a step that over- or underflows leaves a value their checks refuse."""
     errors = {}
-    out = stack_fn(errors, *args)
+    with np.errstate(all="ignore"):
+        out = stack_fn(errors, *args)
     if errors:
         raise errors[0]
     return out
 
 
-def _normalize_rows(errors: dict, values: np.ndarray) -> np.ndarray:
-    """normalize_uniform of each row of an (n, m) stack."""
+def _map_rows(errors: dict, values: np.ndarray, reference: ReferenceFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values - shift) / scale for each row of an (n, m) stack, with shift, scale
+    = min, max - min for the uniform reference and mean, population std for the
+    Gaussian one. Returns (mapped, shift, scale)."""
     lo, hi = values.min(axis=1), values.max(axis=1)
-    with np.errstate(all="ignore"):
-        span = hi - lo
-        for i in np.flatnonzero(~np.isfinite(span)).tolist():
-            errors.setdefault(i, DataError(f"value range {float(lo[i])!r} to {float(hi[i])!r} overflows float64"))
-        for i in np.flatnonzero(hi == lo).tolist():
-            errors.setdefault(i, ConstantInputError("all values identical, range normalization undefined"))
-        return (values - lo[:, None]) / span[:, None]
+    if reference is ReferenceFamily.UNIFORM_UNIT:
+        shift, scale = lo, hi - lo
+    else:
+        shift, scale = values.mean(axis=1), values.std(axis=1)
+    for i in np.flatnonzero(hi == lo).tolist():
+        errors.setdefault(i, ConstantInputError("all values identical, the reference mapping is undefined"))
+    for i in np.flatnonzero(~((scale > 0.0) & (scale < math.inf))).tolist():
+        errors.setdefault(i, DataError(
+            f"value range {float(lo[i])!r} to {float(hi[i])!r} overflows or underflows "
+            f"float64 in the {reference.value} reference mapping"))
+    return (values - shift[:, None]) / scale[:, None], shift, scale
+
+
+def _map_one(values, reference: ReferenceFamily):
+    arr = _as_finite_vector(values, "values")
+    if arr.size == 0:
+        raise DataError("cannot map an empty sample onto a reference")
+    mapped, shift, scale = _one_row(_map_rows, arr[None], reference)
+    return mapped[0], float(shift[0]), float(scale[0])
 
 
 def normalize_uniform(values) -> np.ndarray:
@@ -149,24 +165,7 @@ def normalize_uniform(values) -> np.ndarray:
 
     Idempotent: a second application returns the input unchanged.
     """
-    arr = _as_finite_vector(values, "values")
-    if arr.size == 0:
-        raise DataError("cannot normalize an empty sample")
-    return _one_row(_normalize_rows, arr[None])[0]
-
-
-def _standardize_rows(errors: dict, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """standardize_gaussian of each row of an (n, m) stack, with each row's mean and std."""
-    # The variance sums m squared deviations, each at most twice the largest
-    # magnitude; refuse data where that sum would overflow.
-    peak = np.maximum(-values.min(axis=1), values.max(axis=1))
-    with np.errstate(all="ignore"):
-        for i in np.flatnonzero(~np.isfinite(4.0 * peak * peak * values.shape[1])).tolist():
-            errors.setdefault(i, DataError(f"values up to {float(peak[i])!r} in magnitude overflow the float64 variance"))
-        mean, std = values.mean(axis=1), values.std(axis=1)
-        for i in np.flatnonzero(std == 0.0).tolist():
-            errors.setdefault(i, ConstantInputError("zero variance, standardization undefined"))
-        return (values - mean[:, None]) / std[:, None], mean, std
+    return _map_one(values, ReferenceFamily.UNIFORM_UNIT)[0]
 
 
 def standardize_gaussian(values) -> tuple[np.ndarray, float, float]:
@@ -175,11 +174,7 @@ def standardize_gaussian(values) -> tuple[np.ndarray, float, float]:
     Uses the population variance (divisor m). The original sample is
     recovered as standardized * std + mean.
     """
-    arr = _as_finite_vector(values, "values")
-    if arr.size == 0:
-        raise DataError("cannot standardize an empty sample")
-    out, mean, std = _one_row(_standardize_rows, arr[None])
-    return out[0], float(mean[0]), float(std[0])
+    return _map_one(values, ReferenceFamily.GAUSSIAN)
 
 
 # Switch-over point for the asymptotic series; below it the recurrence

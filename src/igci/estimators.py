@@ -30,9 +30,8 @@ from .core import (
     ReferenceFamily,
     SamplePair,
     _as_finite_vector,
-    _normalize_rows,
+    _map_rows,
     _one_row,
-    _standardize_rows,
     digamma,
 )
 from .errors import (
@@ -74,18 +73,16 @@ class IgciReport:
 def _mean_logs(values: np.ndarray, keep: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Mean of log(values) over each row's keep entries, kept of them. A row
     that drops entries averages them compressed, which rounds as a 1-D mean does."""
-    with np.errstate(all="ignore"):
-        logs = np.log(values)
-        means = logs.mean(axis=1)
-        for i in np.flatnonzero(kept < values.shape[1]).tolist():
-            means[i] = logs[i][keep[i]].mean() if kept[i] else np.nan
+    logs = np.log(values)
+    means = logs.mean(axis=1)
+    for i in np.flatnonzero(kept < values.shape[1]).tolist():
+        means[i] = logs[i][keep[i]].mean() if kept[i] else np.nan
     return means
 
 
 def _spacing_stat(errors: dict, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of an (n, m) stack: (entropy estimate, number of retained spacings)."""
-    with np.errstate(over="ignore"):
-        spacings = np.diff(np.sort(values, axis=1), axis=1)
+    spacings = np.diff(np.sort(values, axis=1), axis=1)
     positive = spacings > 0.0
     kept = np.count_nonzero(positive, axis=1)
     for i in np.flatnonzero(kept == 0).tolist():
@@ -127,8 +124,7 @@ def _slope_stat(errors: dict, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarra
     (mean log |dy/dx|, retained count)."""
     keep = (dx != 0.0) & (dy != 0.0)
     kept = np.count_nonzero(keep, axis=1)
-    with np.errstate(all="ignore"):
-        stat = _mean_logs(np.abs(dy / dx), keep, kept)
+    stat = _mean_logs(np.abs(dy / dx), keep, kept)
     for i in np.flatnonzero(kept == 0).tolist():
         errors.setdefault(i, NoValidSpacingsError("every consecutive pair had a zero difference"))
     for i in np.flatnonzero(~np.isfinite(stat) & (kept > 0)).tolist():
@@ -166,27 +162,25 @@ def slope_criterion(x, y) -> float:
         raise DimensionMismatchError(f"x has {xa.size} rows, y has {ya.size}")
     if xa.size < 2:
         raise TooFewRowsError(f"need at least 2 paired rows, got {xa.size}")
-    return float(_one_row(_slope_stat, *_sorted_diffs(xa[None], ya[None]))[0][0])
+    return float(_one_row(lambda errors: _slope_stat(errors, *_sorted_diffs(xa[None], ya[None])))[0][0])
 
 
 def _score_stack(errors: dict, x: np.ndarray, y: np.ndarray, reference: ReferenceFamily, estimator: EstimatorKind):
     """(c_xy, m_used) of each row pair of two (n, m) stacks, as igci_score
     scores one pair. A row's error is the first of x preprocessing, y
     preprocessing, the x side and the y side; its c_xy and m_used are void."""
-    if reference is ReferenceFamily.UNIFORM_UNIT:
-        x, y = _normalize_rows(errors, x), _normalize_rows(errors, y)
-    else:
-        x, y = _standardize_rows(errors, x)[0], _standardize_rows(errors, y)[0]
-    if estimator is EstimatorKind.ENTROPY_SPACING:
-        s_x, kept_x = _spacing_stat(errors, x)
-        s_y, kept_y = _spacing_stat(errors, y)
-        return s_y - s_x, np.minimum(kept_x, kept_y) + 1
-    dx, dy = _sorted_diffs(x, y)
-    forward, kept_f = _slope_stat(errors, dx, dy)
-    backward, kept_b = _slope_stat(errors, *_backward_diffs(x, y, dx, dy))
-    # Half the difference: the reverse term compensates the divergence
-    # both terms share once noise makes the relation non-functional.
-    return (forward - backward) / 2.0, np.minimum(kept_f, kept_b) + 1
+    with np.errstate(all="ignore"):
+        x, y = _map_rows(errors, x, reference)[0], _map_rows(errors, y, reference)[0]
+        if estimator is EstimatorKind.ENTROPY_SPACING:
+            s_x, kept_x = _spacing_stat(errors, x)
+            s_y, kept_y = _spacing_stat(errors, y)
+            return s_y - s_x, np.minimum(kept_x, kept_y) + 1
+        dx, dy = _sorted_diffs(x, y)
+        forward, kept_f = _slope_stat(errors, dx, dy)
+        backward, kept_b = _slope_stat(errors, *_backward_diffs(x, y, dx, dy))
+        # Half the difference: the reverse term compensates the divergence
+        # both terms share once noise makes the relation non-functional.
+        return (forward - backward) / 2.0, np.minimum(kept_f, kept_b) + 1
 
 
 def _direction(c_xy: float) -> Direction:

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -102,15 +103,17 @@ def load_table(path) -> np.ndarray:
     before the last value of a comma-separated line ('1,,2', ',1,2') is a
     ParseError naming its line; a trailing comma is accepted.
 
-    np.loadtxt reads well-formed files in one pass. It accepts a subset of
-    what the line parser accepts, with the same values, so any file it
-    rejects (or finds empty) is handed to the line parser, which returns
-    the same table or raises with the offending line number.
+    np.loadtxt reads well-formed files in one pass, splitting at commas if
+    the first data line has one. It accepts a subset of what the line
+    parser accepts, with the same values, so any file it rejects (or finds
+    empty) is handed to the line parser, which returns the same table or
+    raises with the offending line number.
     """
     path = Path(path)
     text = _read_text(path)
     if "\r" in text:  # universal newlines, as np.loadtxt reads the file
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    first = re.search(r"^[^\S\n]*[^#\s][^#\n]*", text, re.MULTILINE)  # the first data line, comment cut
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -118,7 +121,7 @@ def load_table(path) -> np.ndarray:
                 path,
                 dtype=np.float64,
                 comments="#",
-                delimiter="," if "," in text else None,
+                delimiter="," if first and "," in first.group() else None,
                 ndmin=2,
                 encoding="utf-8",
             )

@@ -25,9 +25,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._fanout import fan_out
-from .core import Direction, ReferenceFamily, _as_finite_vector
+from .core import Direction, ReferenceFamily, _as_finite_vector, standardize_gaussian
 from .errors import (
-    ConstantInputError,
     DataError,
     DomainError,
     SamplingStalledError,
@@ -456,32 +455,27 @@ _FISHER_GRID = 4096
 def estimate_fisher_information(values) -> float:
     """Plug-in Fisher information of a scalar density from a sample.
 
-    A binned Gaussian kernel density with Silverman's reference bandwidth h
-    supplies the score function; the integral of score**2 times density is
+    J(x) = J(z) / std**2 for the standardized sample z. A binned Gaussian
+    kernel density of z with Silverman's reference bandwidth h supplies the
+    score function; the integral of score**2 times density is
     taken on the grid. Kernel smoothing biases the result low by roughly
     the bandwidth variance, and for a Gaussian shape exactly so (1/J grows
     by h**2 under h-smoothing); that term is removed, which is exact in the
-    Gaussian case. A sample whose standard deviation, bandwidth or grid
-    float64 cannot carry is a DataError naming its range.
+    Gaussian case. A sample whose standardization or J float64 cannot
+    carry is a DataError naming its value range.
     """
     arr = _as_finite_vector(values, "values")
     m = arr.size
     if m < 16:
         raise TooFewRowsError(f"need at least 16 values, got {m}")
-    lo, hi = float(arr.min()), float(arr.max())
-    if lo == hi:
-        raise ConstantInputError("constant sample has no density")
-    with np.errstate(all="ignore"):  # an overflow or underflow fails the check below
-        std = float(arr.std())
-        q25, q75 = np.percentile(arr, [25.0, 75.0])
-        iqr = float(q75 - q25)
-        spread = min(std, iqr / 1.349) if iqr > 0.0 else std
-        h = 0.9 * spread * m ** (-0.2)
-        edges = np.linspace(lo - 5.0 * h, hi + 5.0 * h, _FISHER_GRID + 1)
-        delta = float(edges[1] - edges[0])
-    if not (math.isfinite(std) and h > 0.0 and 0.0 < delta < math.inf):
-        raise DataError(f"values in [{lo:g}, {hi:g}] have a spread float64 cannot carry")
-    counts, _ = np.histogram(arr, bins=edges)
+    z, _, std = standardize_gaussian(arr)
+    q25, q75 = np.percentile(z, [25.0, 75.0])
+    iqr = float(q75 - q25)
+    spread = min(1.0, iqr / 1.349) if iqr > 0.0 else 1.0
+    h = 0.9 * spread * m ** (-0.2)
+    edges = np.linspace(float(z.min()) - 5.0 * h, float(z.max()) + 5.0 * h, _FISHER_GRID + 1)
+    delta = float(edges[1] - edges[0])
+    counts, _ = np.histogram(z, bins=edges)
     radius = int(math.ceil(6.0 * h / delta))
     offsets = np.arange(-radius, radius + 1) * delta
     kernel = np.exp(-0.5 * (offsets / h) ** 2)
@@ -494,6 +488,12 @@ def estimate_fisher_information(values) -> float:
         inv = 1.0 / info - h * h
         if inv > 0.0:
             info = 1.0 / inv
+    # Python floats, so a J beyond float64 becomes inf or 0.0 without a warning.
+    info = info / std / std
+    if not 0.0 < info < math.inf:
+        raise DataError(
+            f"value range {float(arr.min())!r} to {float(arr.max())!r} gives a Fisher information float64 cannot carry"
+        )
     return info
 
 
@@ -516,20 +516,17 @@ def verify_noise_bound(
     x,
     sigma_levels: Sequence[float] = (0.01, 0.1, 1.0),
     rng_seed: int = 0,
-    fisher: Optional[float] = None,
 ) -> list:
     """Check S(x + sqrt(sigma) Z) <= S(x) + 0.5 * log(sigma * J(x) + 1).
 
-    Entropies are spacing estimates, J(x) is the plug-in Fisher information
-    unless supplied. The bound is tight when x itself is Gaussian, so the
-    reported gap (bound minus noisy entropy) doubles as a tightness probe.
-    holds allows _NOISE_BOUND_TOL of slack for estimation error.
+    Entropies are spacing estimates, J(x) is the plug-in Fisher information.
+    The bound is tight when x itself is Gaussian, so the reported gap (bound
+    minus noisy entropy) doubles as a tightness probe. holds allows
+    _NOISE_BOUND_TOL of slack for estimation error.
     """
     arr = _as_finite_vector(x, "x")
     base = spacing_entropy(arr)
-    info = float(fisher) if fisher is not None else estimate_fisher_information(arr)
-    if info <= 0.0:
-        raise DomainError(f"Fisher information must be positive, got {info!r}")
+    info = estimate_fisher_information(arr)
     checks = []
     for idx, sigma in enumerate(sigma_levels):
         sigma = float(sigma)

@@ -126,6 +126,18 @@ def test_infer_slope_overflow_is_a_data_error(capsys, tmp_path):
     assert "data error" in err and "not finite" in err and "5e-324" in err
 
 
+def test_infer_gaussian_subnormal_range_is_a_data_error(capsys, tmp_path):
+    # x differs, but its variance underflows float64
+    path = tmp_path / "subnormal.tsv"
+    path.write_text("0 1\n5e-324 2\n1e-323 3\n2e-323 5\n")
+    code, out, err = run_cli(capsys, "infer", str(path), "--reference", "gaussian")
+    assert code == EXIT_DATA and out == ""
+    assert err == (
+        "igci: data error: value range 0.0 to 2e-323 overflows or underflows float64 "
+        "in the gaussian reference mapping\n"
+    )
+
+
 # ----------------------------------------------------------------------- usage
 
 def test_infer_dropped_rows_warning_is_one_line(capsys, tmp_path):
@@ -403,6 +415,15 @@ def test_tracedir_non_finite_value_is_a_data_error(capsys, linear_table):
     assert "igci: data error" in err and "non-finite" in err
 
 
+def test_tracedir_constant_y_columns_is_a_data_error(capsys, tmp_path):
+    x = substream(206).standard_normal((100, 2))
+    path = tmp_path / "flat.tsv"
+    path.write_text("".join(f"{a:.17g}\t{b:.17g}\t3\t-1\n" for a, b in x))
+    code, out, err = run_cli(capsys, "tracedir", str(path), "--x-cols", "0,1", "--y-cols", "2,3")
+    assert code == EXIT_DATA and out == ""
+    assert err == "igci: data error: y is constant\n"
+
+
 def test_tracedir_scale_beyond_float64_is_a_data_error(capsys, tmp_path):
     rng = substream(205)
     x = rng.standard_normal((200, 2))
@@ -516,6 +537,15 @@ def test_verify_all_tsv_heads_each_check(capsys):
     assert len(rows) == 3 * 3
     assert all(len(row) == 9 and row[0] == "noise-bound" and row[-1] == "true" for row in rows)
     assert all("" not in row for row in rows)
+
+
+def test_verify_failed_check_exits_3_after_its_records(capsys, monkeypatch):
+    monkeypatch.setattr(igci.cli, "_KL_IDENTITY_TOL", -1.0)  # no residual is below it
+    code, out, err = run_cli(capsys, "verify", "--check", "kl-identity", "--trials", "5", "--seed", "6")
+    assert code == EXIT_NUMERIC
+    assert err == "verify: at least one check failed\n"
+    (record,) = json_records(out)
+    assert record["check"] == "kl-identity" and record["pass"] is False and record["tolerance"] == -1.0
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

@@ -124,6 +124,12 @@ def test_standardize_constant():
         standardize_gaussian([4.0] * 10)
 
 
+def test_standardize_constant_sample_whose_mean_rounds():
+    # the mean of 1000 copies of 1/3 is not 1/3, so the std comes out positive
+    with pytest.raises(ConstantInputError, match="all values identical"):
+        standardize_gaussian([1.0 / 3.0] * 1000)
+
+
 def test_multisample_needs_more_rows_than_dims():
     with pytest.raises(SingularCovarianceError):
         MultiSample(np.zeros((2, 3)))

@@ -98,6 +98,9 @@ def _table_texts(draw):
     seps = st.sampled_from([" ", "\t", "  \t ", ",", ", "])
     sep = draw(seps)
     lines = []
+    header = draw(st.sampled_from(["", "# x, y", "#x,y,z"]))  # commas in a header comment
+    if header:
+        lines.append(header)
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(
             st.sampled_from(["row"] * 6 + ["comment", "blank", "ragged", "odd", "mixed", "noted", "gap"])
@@ -120,6 +123,21 @@ def _table_texts(draw):
                 line += draw(st.sampled_from([" # note", "#", "\t# x, y", "#1 2"]))
             lines.append(line)
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def test_load_table_comment_commas_keep_the_whitespace_fast_path(tmp_path, monkeypatch):
+    rows = "".join(f"{i} {i * i}\t{-i}\n" for i in range(50))
+    plain = tmp_path / "plain.txt"
+    plain.write_text(rows)
+    headed = tmp_path / "headed.txt"
+    headed.write_text("# x, x squared, -x\n\n" + rows.replace("7 49\t-7", "7 49\t-7  # a, b"))
+    expected = load_table(plain)
+
+    def refuse(path, text):
+        raise AssertionError("the line parser was used")
+
+    monkeypatch.setattr(igci.io, "_parse_lines", refuse)
+    assert np.array_equal(load_table(headed), expected)
 
 
 def _outcome(fn, *args):

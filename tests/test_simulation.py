@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from igci import (
@@ -15,22 +17,28 @@ from igci import (
     Direction,
     DomainError,
     EstimatorKind,
+    IgciReport,
     InputDist,
     InputKind,
     MechanismKind,
     MechanismSpec,
+    NoiseBoundCheck,
     NoiseKind,
     NoiseSpec,
+    ReferenceFamily,
     SamplePair,
     SamplingStalledError,
     TooFewRowsError,
     apply_mechanism,
     estimate_fisher_information,
     igci_score,
+    normalize_uniform,
     run_grid,
     run_sine,
     sample_input,
+    slope_criterion,
     spacing_entropy,
+    standardize_gaussian,
     substream,
     verify_noise_bound,
 )
@@ -490,9 +498,9 @@ def test_fisher_information_scale_beyond_float64_is_a_data_error(scale):
     x = scale * substream(19).standard_normal(200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DataError, match=r"values in \[-.*\] have a spread float64 cannot carry"):
+        with pytest.raises(DataError, match=r"value range -.* to .* overflows or underflows float64"):
             estimate_fisher_information(x)
-        with pytest.raises(DataError, match="have a spread float64 cannot carry"):
+        with pytest.raises(DataError, match="overflows or underflows float64"):
             verify_noise_bound(x, sigma_levels=(0.5,))
 
 
@@ -501,8 +509,55 @@ def test_fisher_information_near_the_float64_maximum_is_a_data_error():
     x = rng.uniform(9e307, 1e308, 50) * rng.choice([-1.0, 1.0], 50)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DataError, match="values in .* have a spread float64 cannot carry"):
+        with pytest.raises(DataError, match="value range .* to .* overflows or underflows float64"):
             estimate_fisher_information(x)
+
+
+@pytest.mark.parametrize("power", [-150, -100, -50, -1, 0, 1, 50, 100, 150])
+def test_fisher_information_scales_as_one_over_the_variance(power):
+    # J(s * x) = J(x) / s**2, at every scale whose variance float64 carries
+    x = substream(21).standard_normal(2000)
+    scale = 10.0 ** power
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit = estimate_fisher_information(x)
+        assert estimate_fisher_information(scale * x) == pytest.approx(unit / scale / scale, rel=1e-9)
+
+
+def _finite_leaves(out) -> bool:
+    if isinstance(out, (list, tuple)):
+        return all(_finite_leaves(v) for v in out)
+    if isinstance(out, (IgciReport, NoiseBoundCheck)):
+        return _finite_leaves([v for v in vars(out).values() if isinstance(v, float)])
+    return bool(np.all(np.isfinite(out)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=2, max_size=40),
+    powers=st.tuples(st.integers(-320, 300), st.integers(-320, 300)),
+)
+def test_finite_inputs_at_any_scale_give_a_finite_result_or_a_data_error(values, powers):
+    x, y = (np.array(column) * 10.0 ** power for column, power in zip(zip(*values), powers))
+    calls = [
+        (normalize_uniform, x),
+        (standardize_gaussian, x),
+        (spacing_entropy, x),
+        (slope_criterion, x, y),
+        (estimate_fisher_information, x),
+        (verify_noise_bound, x),
+    ]
+    for reference in ReferenceFamily:
+        for estimator in EstimatorKind:
+            calls.append((lambda a, b, r=reference, e=estimator: igci_score(SamplePair(a, b), r, e), x, y))
+    for fn, *args in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = fn(*args)
+            except DataError:
+                continue
+        assert _finite_leaves(out), (fn, out)
 
 
 # ---------------------------------------------------------------- noise bound
@@ -519,32 +574,30 @@ def test_verify_noise_bound_gaussian_holds_and_is_tight():
         )
 
 
-def test_verify_noise_bound_fisher_override_and_guards():
+def test_verify_noise_bound_reports_the_plug_in_fisher_and_guards():
     x = substream(25).standard_normal(5000)
-    checks = verify_noise_bound(x, sigma_levels=(0.5,), rng_seed=26, fisher=1.0)
-    assert checks[0].fisher == 1.0
+    checks = verify_noise_bound(x, sigma_levels=(0.5,), rng_seed=26)
+    assert checks[0].fisher == estimate_fisher_information(x)
     with pytest.raises(DomainError):
-        verify_noise_bound(x, sigma_levels=(0.0,), rng_seed=26, fisher=1.0)
-    with pytest.raises(DomainError):
-        verify_noise_bound(x, rng_seed=26, fisher=-2.0)
+        verify_noise_bound(x, sigma_levels=(0.0,), rng_seed=26)
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf])
 def test_verify_noise_bound_rejects_non_finite_sigma_levels(sigma):
     x = substream(25).standard_normal(5000)
     with pytest.raises(DomainError, match=f"sigma levels must be positive and finite, got {sigma!r}"):
-        verify_noise_bound(x, sigma_levels=(0.5, sigma), rng_seed=26, fisher=1.0)
+        verify_noise_bound(x, sigma_levels=(0.5, sigma), rng_seed=26)
 
 
 def test_verify_noise_bound_overflowing_spacing_is_a_data_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DataError, match="spacing entropy is not finite"):
-            verify_noise_bound([-1e308, 1e308], fisher=1.0)
+            verify_noise_bound([-1e308, 1e308])
 
 
 def test_verify_noise_bound_is_reproducible():
     x = substream(27).standard_normal(5000)
-    a = verify_noise_bound(x, sigma_levels=(0.3,), rng_seed=28, fisher=1.0)
-    b = verify_noise_bound(x, sigma_levels=(0.3,), rng_seed=28, fisher=1.0)
+    a = verify_noise_bound(x, sigma_levels=(0.3,), rng_seed=28)
+    b = verify_noise_bound(x, sigma_levels=(0.3,), rng_seed=28)
     assert a == b

@@ -152,6 +152,12 @@ def test_infer_linear_direction_rank_deficient_regressors():
         infer_linear_direction(x, y)
 
 
+def test_infer_linear_direction_constant_y_is_singular():
+    x = MultiSample(substream(64).standard_normal((50, 2)))
+    with pytest.raises(SingularFitError, match="y is constant"):
+        infer_linear_direction(x, MultiSample(np.full((50, 2), 3.0)))
+
+
 def test_infer_linear_direction_numerically_singular_map():
     rng = substream(63)
     x = rng.standard_normal((100, 2))
