@@ -56,6 +56,9 @@ class ReferenceFamily(Enum):
     GAUSSIAN = "gaussian"
 
 
+_FLOAT_TINY = float(np.finfo(np.float64).tiny)
+
+
 def _as_finite_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
@@ -140,16 +143,23 @@ def _map_rows(errors: dict, values: np.ndarray, reference: ReferenceFamily) -> t
     Gaussian one. Returns (mapped, shift, scale)."""
     lo, hi = values.min(axis=1), values.max(axis=1)
     if reference is ReferenceFamily.UNIFORM_UNIT:
-        shift, scale = lo, hi - lo
+        shift, scale, least = lo, hi - lo, 0.0
+        mapped = (values - shift[:, None]) / scale[:, None]
     else:
-        shift, scale = values.mean(axis=1), values.std(axis=1)
+        # Moments of values / 2**e, 2**e just above the largest |value|: exact, so normal
+        # data maps bit for bit, and no square over- or underflows. A subnormal std lost digits.
+        e = np.frexp(np.maximum(-lo, hi))[1][:, None]
+        scaled = np.ldexp(values, -e)
+        centre, spread = scaled.mean(axis=1, keepdims=True), scaled.std(axis=1, keepdims=True)
+        mapped = (scaled - centre) / spread
+        shift, scale, least = np.ldexp(centre, e)[:, 0], np.ldexp(spread, e)[:, 0], _FLOAT_TINY
     for i in np.flatnonzero(hi == lo).tolist():
         errors.setdefault(i, ConstantInputError("all values identical, the reference mapping is undefined"))
-    for i in np.flatnonzero(~((scale > 0.0) & (scale < math.inf))).tolist():
+    for i in np.flatnonzero(~((scale >= least) & (scale < math.inf))).tolist():
         errors.setdefault(i, DataError(
             f"value range {float(lo[i])!r} to {float(hi[i])!r} overflows or underflows "
             f"float64 in the {reference.value} reference mapping"))
-    return (values - shift[:, None]) / scale[:, None], shift, scale
+    return mapped, shift, scale
 
 
 def _map_one(values, reference: ReferenceFamily):

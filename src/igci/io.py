@@ -24,10 +24,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._fanout import fan_out
-from .core import Direction, ReferenceFamily, SamplePair
+from .core import _FLOAT_TINY, Direction, ReferenceFamily, SamplePair
 from .errors import (
     ConstantInputError,
     DataError,
+    DimensionMismatchError,
+    DomainError,
     EmptyManifestError,
     IgciError,
     ParseError,
@@ -185,7 +187,6 @@ class LagAlignment:
 # Error budget of the FFT pass, relative to each whole series' centred sum
 # of squares; it sits far above the rounding of prefix sums and FFTs.
 _ALIGN_RTOL = 1e-9
-_FLOAT_TINY = float(np.finfo(np.float64).tiny)
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
@@ -261,14 +262,14 @@ def align_lag(a, b, max_lag: int) -> LagAlignment:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1:
-        raise ParseError("series must be one-dimensional")
+        raise DimensionMismatchError("series must be one-dimensional")
     for name, series in (("a", a), ("b", b)):
         bad = np.flatnonzero(~np.isfinite(series))
         if bad.size:
             raise DataError(f"series {name} has a non-finite value at row {bad[0]} (counting from 0)")
     max_lag = int(max_lag)
     if max_lag < 0:
-        raise ValueError("max_lag must be nonnegative")
+        raise DomainError(f"max_lag must be nonnegative, got {max_lag}")
     if a.size < max_lag + 3 or b.size < max_lag + 3:
         raise TooFewRowsError(
             f"series of lengths {a.size} and {b.size} are too short for max_lag {max_lag}"

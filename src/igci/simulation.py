@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -28,6 +28,7 @@ from ._fanout import fan_out
 from .core import Direction, ReferenceFamily, _as_finite_vector, standardize_gaussian
 from .errors import (
     DataError,
+    DimensionMismatchError,
     DomainError,
     SamplingStalledError,
     TooFewRowsError,
@@ -38,8 +39,6 @@ __all__ = [
     "InputKind",
     "InputDist",
     "MechanismKind",
-    "CdfMixParams",
-    "MechanismSpec",
     "NoiseKind",
     "NoiseSpec",
     "CellTally",
@@ -51,6 +50,7 @@ __all__ = [
     "SINE_INPUTS",
     "substream",
     "sample_input",
+    "random_cdf_mix",
     "apply_mechanism",
     "run_grid",
     "run_sine",
@@ -99,7 +99,7 @@ class InputDist:
 
     def __post_init__(self) -> None:
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+            raise DomainError(f"sigma must be positive, got {self.sigma!r}")
 
 
 def _propose(dist: InputDist, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -146,32 +146,6 @@ class MechanismKind(Enum):
     CDF_MIX = "cdf_mix"
 
 
-@dataclass(frozen=True)
-class CdfMixParams:
-    """Convex combination of Gaussian CDFs: weights, locations, widths."""
-
-    weights: tuple
-    means: tuple
-    widths: tuple
-
-    def __post_init__(self) -> None:
-        w = tuple(float(v) for v in self.weights)
-        mu = tuple(float(v) for v in self.means)
-        sd = tuple(float(v) for v in self.widths)
-        if not (len(w) == len(mu) == len(sd)) or len(w) == 0:
-            raise ValueError("weights, means, widths must be equal-length and nonempty")
-        # A NaN weight fails both comparisons, so the sum test is written to catch it.
-        if any(v < 0.0 for v in w) or not abs(sum(w) - 1.0) <= 1e-8:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        if any(not (0.0 <= v <= 1.0) for v in mu):
-            raise ValueError("means must lie in [0, 1]")
-        if any(not (0.0 <= v <= 0.1) for v in sd):
-            raise ValueError("widths must lie in [0, 0.1]")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", mu)
-        object.__setattr__(self, "widths", sd)
-
-
 # Widths below this are floored when drawing random mixture parameters so
 # the mechanism stays resolvable at benchmark sample sizes.
 _MIN_CDF_WIDTH = 1e-4
@@ -179,70 +153,62 @@ _MIN_CDF_WIDTH = 1e-4
 _CDF_COMPONENTS = 5
 
 
-@dataclass(frozen=True)
-class MechanismSpec:
-    kind: MechanismKind
-    cdf_mix: Optional[CdfMixParams] = None
-
-    def __post_init__(self) -> None:
-        if (self.kind is MechanismKind.CDF_MIX) != (self.cdf_mix is not None):
-            raise ValueError("cdf_mix parameters are required exactly when kind is CDF_MIX")
-
-    @staticmethod
-    def random_cdf_mix(rng: np.random.Generator) -> "MechanismSpec":
-        """Fresh random CDF-mixture mechanism: normalized uniform weights,
-        uniform locations, widths uniform on [0, 0.1] floored at 1e-4."""
-        params = np.empty((3, _CDF_COMPONENTS))
-        _draw_cdf_mix(rng, params)
-        return MechanismSpec(MechanismKind.CDF_MIX, CdfMixParams(*map(tuple, params)))
+def random_cdf_mix(rng: np.random.Generator) -> np.ndarray:
+    """Fresh (3, 5) CDF-mixture parameters for apply_mechanism, drawn in this order:
+    normalized uniform weights, uniform means, widths uniform on [0, 0.1] floored at 1e-4."""
+    raw, means, widths = (rng.random(_CDF_COMPONENTS) for _ in range(3))
+    return np.array([raw / raw.sum(), means, np.maximum(widths * 0.1, _MIN_CDF_WIDTH)])
 
 
-def _draw_cdf_mix(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Draw random_cdf_mix's weights, means and widths into the rows of out."""
-    raw = rng.random(out.shape[1])
-    out[0] = raw / raw.sum()
-    out[1] = rng.random(out.shape[1])
-    out[2] = np.maximum(rng.random(out.shape[1]) * 0.1, _MIN_CDF_WIDTH)
+def apply_mechanism(kind: MechanismKind, x, cdf_mix=None) -> np.ndarray:
+    """Evaluate a benchmark mechanism on one sample in [0, 1], shape (m,), or on
+    each row of a stack, shape (n, m).
 
-
-def _mechanism_rows(kind: MechanismKind, x: np.ndarray, cdf_mix: Optional[np.ndarray] = None) -> np.ndarray:
-    """A mechanism of the given kind on each row of an (n, m) stack in [0, 1].
-
-    For CDF_MIX, cdf_mix holds each row's weights, means and widths, shape
-    (3, n, components); components are summed in order, as one row would be.
-    """
-    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
-        raise DomainError("mechanism inputs must lie in [0, 1]")
-    if kind is MechanismKind.CUBE_ROOT:
-        return np.cbrt(x)
-    if kind is MechanismKind.SQRT:
-        return np.sqrt(x)
-    if kind is MechanismKind.SQUARE:
-        return x * x
-    if kind is MechanismKind.CUBE:
-        return x * x * x
-    out = np.zeros_like(x)
-    for w, mu, sd in zip(*cdf_mix.transpose(0, 2, 1)[..., None]):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = ndtr((x - mu) / sd)
-        steps = sd[:, 0] == 0.0
-        if steps.any():
-            term[steps] = x[steps] >= mu[steps]
-        out += w * term
-    return out
-
-
-def apply_mechanism(spec: MechanismSpec, x) -> np.ndarray:
-    """Evaluate a benchmark mechanism on values in [0, 1].
-
+    cdf_mix is required exactly for CDF_MIX: the weights, means and widths of a
+    convex combination of Gaussian CDFs, shape (3, k) for every row or (3, n, k)
+    row by row, as random_cdf_mix draws them. Components are summed in order.
     All mechanisms map [0, 1] into [0, 1] and are monotone nondecreasing
     (strictly increasing except for zero-width CDF components, which act
     as steps).
     """
-    arr = _as_finite_vector(x, "x")
-    params = spec.cdf_mix
-    cdf_mix = None if params is None else np.array([params.weights, params.means, params.widths])[:, None]
-    return _mechanism_rows(spec.kind, arr[None], cdf_mix)[0]
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim not in (1, 2):
+        raise DimensionMismatchError(f"x must be of shape (m,) or (n, m), got shape {arr.shape}")
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise DataError("x contains non-finite values")
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise DomainError("mechanism inputs must lie in [0, 1]")
+    if (kind is MechanismKind.CDF_MIX) != (cdf_mix is not None):
+        raise DomainError("cdf_mix parameters are required exactly when kind is CDF_MIX")
+    if kind is MechanismKind.CUBE_ROOT:
+        return np.cbrt(arr)
+    if kind is MechanismKind.SQRT:
+        return np.sqrt(arr)
+    if kind is MechanismKind.SQUARE:
+        return arr * arr
+    if kind is MechanismKind.CUBE:
+        return arr * arr * arr
+    rows = arr if arr.ndim == 2 else arr[None]
+    params = np.asarray(cdf_mix, dtype=np.float64)
+    if params.ndim == 2:
+        params = np.broadcast_to(params[:, None], (len(params), len(rows), params.shape[1]))
+    if params.ndim != 3 or params.shape[:2] != (3, len(rows)) or params.shape[2] == 0:
+        raise DomainError(f"cdf_mix must be of shape (3, k) or (3, {len(rows)}, k), got {np.shape(cdf_mix)}")
+    w, mu, sd = params
+    # A NaN fails every comparison, so each test is written to catch one.
+    if not (np.all(w >= 0.0) and np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-8)):
+        raise DomainError("weights must be nonnegative and sum to 1")
+    if not (np.all((mu >= 0.0) & (mu <= 1.0)) and np.all((sd >= 0.0) & (sd <= 0.1))):
+        raise DomainError("means must lie in [0, 1] and widths in [0, 0.1]")
+    out = np.zeros_like(rows)
+    for w, mu, sd in zip(*params.transpose(0, 2, 1)[..., None]):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = ndtr((rows - mu) / sd)
+        steps = sd[:, 0] == 0.0
+        if steps.any():
+            term[steps] = rows[steps] >= mu[steps]
+        out += w * term
+    return out.reshape(arr.shape)
 
 
 class NoiseKind(Enum):
@@ -262,12 +228,12 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         if self.lam < 0.0 or not math.isfinite(self.lam):
-            raise ValueError(f"lam must be finite and nonnegative, got {self.lam!r}")
+            raise DomainError(f"lam must be finite and nonnegative, got {self.lam!r}")
         if not 0.0 < self.laplace_scale < math.inf:
-            raise ValueError(f"laplace_scale must be finite and positive, got {self.laplace_scale!r}")
+            raise DomainError(f"laplace_scale must be finite and positive, got {self.laplace_scale!r}")
         # A deterministic run is spelled with both fields off, never half.
         if (self.lam == 0.0) != (self.kind is NoiseKind.NONE):
-            raise ValueError("lam == 0 exactly when kind is NONE")
+            raise DomainError("lam == 0 exactly when kind is NONE")
 
 
 def _sample_noise(noise: NoiseSpec, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -392,11 +358,11 @@ def run_grid(
         eps = np.empty_like(x) if noise.kind is not NoiseKind.NONE else None
         for row, rng in enumerate(streams):
             if cdf_mix is not None:
-                _draw_cdf_mix(rng, cdf_mix[:, row])
+                cdf_mix[:, row] = random_cdf_mix(rng)
             x[row] = sample_input(dist, m, rng)
             if eps is not None:
                 eps[row] = _sample_noise(noise, m, rng)
-        y = _mechanism_rows(kind, x, cdf_mix)
+        y = apply_mechanism(kind, x, cdf_mix)
         if eps is not None:
             y += noise.lam * eps
         return y

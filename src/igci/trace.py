@@ -11,6 +11,7 @@ compares the gap forwards and backwards.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -47,28 +48,42 @@ def _square(matrix, name: str) -> np.ndarray:
     return arr
 
 
+def _unit_scale(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """(arr / 2**e, e), with 2**e just above the largest |entry| of arr."""
+    e = int(np.frexp(np.abs(arr).max())[1])
+    return np.ldexp(arr, -e), e
+
+
 def trace_gap(a, sigma_x) -> float:
     """log tau(A Sigma A^T) - log tau(A A^T) - log tau(Sigma).
 
     tau(B) = tr(B)/d is the renormalized trace. The gap is zero when the
     overall scaling of the map is unrelated to the input covariance, for
     instance when Sigma is any multiple of the identity. Invariant under
-    rescaling of A. A trace that overflows float64 raises DataError.
+    rescaling of A. A positive trace that over- or underflows float64
+    raises DataError.
     """
     a_arr = _square(a, "a")
     s_arr = _square(sigma_x, "sigma_x")
     if a_arr.shape != s_arr.shape:
         raise DimensionMismatchError(f"a is {a_arr.shape}, sigma_x is {s_arr.shape}")
     d = a_arr.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        pushed = float(np.trace(a_arr @ s_arr @ a_arr.T)) / d
-        map_scale = float(np.trace(a_arr @ a_arr.T)) / d
-        input_scale = float(np.trace(s_arr)) / d
-    for name, value in (("a@sigma@a.T", pushed), ("a@a.T", map_scale), ("sigma_x", input_scale)):
-        if not np.isfinite(value):
-            raise DataError(f"renormalized trace of {name} overflows float64 (got {value!r})")
-        if value <= 0.0:
+    # Traces of a / 2**e and sigma_x / 2**f, scaled back: exact, so one float64 carries
+    # is bit for bit the direct one, and one it cannot is inf or 0.0 with its sign known.
+    (a_u, e), (s_u, f) = _unit_scale(a_arr), _unit_scale(s_arr)
+    traces = []
+    products = (("a@sigma@a.T", a_u @ s_u @ a_u.T, 2 * e + f), ("a@a.T", a_u @ a_u.T, 2 * e), ("sigma_x", s_u, f))
+    for name, product, exp in products:
+        unit = np.trace(product)
+        with np.errstate(over="ignore"):
+            value = float(np.ldexp(unit, exp)) / d
+        if unit <= 0.0:
             raise NonPositiveTraceError(f"renormalized trace of {name} is {value!r}")
+        if not 0.0 < value < math.inf:
+            flow = "overflows" if value else "underflows"
+            raise DataError(f"renormalized trace of {name} {flow} float64 (got {value!r})")
+        traces.append(value)
+    pushed, map_scale, input_scale = traces
     return float(np.log(pushed) - np.log(map_scale) - np.log(input_scale))
 
 

@@ -16,7 +16,6 @@ from igci import (
     InputDist,
     InputKind,
     MechanismKind,
-    MechanismSpec,
     NoiseKind,
     NoiseSpec,
     SamplePair,
@@ -25,6 +24,7 @@ from igci import (
     kl_additivity_gap,
     load_manifest,
     normalize_uniform,
+    random_cdf_mix,
     run_grid,
     run_sine,
     slope_criterion,
@@ -264,9 +264,9 @@ def test_criterion_11_synthetic_manifest(tmp_path):
     for idx in range(50):
         rng = substream(777, idx)
         kind = mechanisms[idx % 5]
-        spec = MechanismSpec.random_cdf_mix(rng) if kind is MechanismKind.CDF_MIX else MechanismSpec(kind)
+        cdf_mix = random_cdf_mix(rng) if kind is MechanismKind.CDF_MIX else None
         x = sample_input(inputs[idx % 3], 500, rng, truncate=True)
-        y = apply_mechanism(spec, x)
+        y = apply_mechanism(kind, x, cdf_mix)
         name = f"pair{idx:02d}.tsv"
         if idx % 10 < 3:  # 15 of 50 stored with columns flipped
             write_pair(tmp_path / name, SamplePair(y, x))

@@ -130,6 +130,34 @@ def test_standardize_constant_sample_whose_mean_rounds():
         standardize_gaussian([1.0 / 3.0] * 1000)
 
 
+def test_standardize_matches_numpy_moments_bit_for_bit():
+    # the moments are taken at a power-of-two scale, which is exact for normal data
+    rng = substream(13)
+    for _ in range(300):
+        values = rng.standard_normal(int(rng.integers(2, 200))) * 10.0 ** rng.uniform(-30.0, 30.0)
+        out, mean, std = standardize_gaussian(values)
+        assert (mean, std) == (float(values.mean()), float(values.std()))
+        assert np.array_equal(out, (values - values.mean()) / values.std())
+
+
+@pytest.mark.parametrize("power", [*range(-300, 301, 20), -161, 155])
+def test_standardize_carries_every_scale_float64_holds(power):
+    # Squaring unscaled values left the std 0.5% off at 1e-161 and refused 1e155 as a DataError.
+    values = substream(14).standard_normal(500)
+    unit, _, unit_std = standardize_gaussian(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, _, std = standardize_gaussian(10.0 ** power * values)
+    assert std == pytest.approx(10.0 ** power * unit_std, rel=1e-12)
+    assert np.allclose(out, unit, rtol=0.0, atol=1e-12)
+
+
+def test_standardize_near_the_float64_maximum():
+    out, mean, std = standardize_gaussian([-1.7e308, 1.7e308, 1.7e308])
+    assert std == pytest.approx(1.7e308 / 3.0 * math.sqrt(8.0), rel=1e-15)
+    assert out == pytest.approx([-math.sqrt(2.0), math.sqrt(0.5), math.sqrt(0.5)], rel=1e-15)
+
+
 def test_multisample_needs_more_rows_than_dims():
     with pytest.raises(SingularCovarianceError):
         MultiSample(np.zeros((2, 3)))

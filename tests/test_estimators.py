@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -209,11 +210,15 @@ def test_igci_score_m_used_counts_retained_spacings():
 @pytest.mark.parametrize("reference", [UNIFORM, GAUSSIAN])
 @pytest.mark.parametrize("estimator", [ENTROPY, SLOPE])
 def test_igci_score_extreme_range_names_the_overflow(reference, estimator):
-    # max - min and the variance both overflow float64 here
+    # max - min overflows float64 here; the std, 7.1e307, does not, so the
+    # Gaussian reference fails only on a spread whose std is subnormal
     pair = SamplePair([-1e308, 0.0, 1e308, 5.0], [1.0, 2.0, 3.0, 4.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DataError, match="overflow") as info:
+        if reference is GAUSSIAN:
+            assert math.isfinite(igci_score(pair, reference, estimator).c_xy)
+            pair = SamplePair([0.0, 5e-324, 1e-323, 2e-323], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(DataError, match="overflows or underflows") as info:
             igci_score(pair, reference, estimator)
     assert type(info.value) is DataError
 
@@ -290,12 +295,13 @@ def _oracle_standardize(arr):
     lo, hi = float(arr.min()), float(arr.max())
     if hi == lo:
         raise ConstantInputError("all values identical, the reference mapping is undefined")
-    with np.errstate(all="ignore"):
-        mean = float(arr.mean())
-        std = float(arr.std())
-    if not 0.0 < std < math.inf:
+    # The moments of arr / 2**e, where 2**e bounds |arr|: exact scaling, and no square overflows.
+    e = math.frexp(max(-lo, hi))[1]
+    scaled = np.ldexp(arr, -e)
+    mean, std = float(scaled.mean()), float(scaled.std())
+    if not math.ldexp(std, e) >= sys.float_info.min:
         raise DataError(f"value range {lo!r} to {hi!r} overflows or underflows float64 in the gaussian reference mapping")
-    return (arr - mean) / std
+    return (scaled - mean) / std
 
 
 def _oracle_spacing_stat(values):
@@ -349,7 +355,7 @@ def _outcome(fn, *args):
 
 _ROW_KINDS = (
     "continuous", "ties_x", "ties_y", "discrete", "decreasing", "noisy",
-    "constant_x", "constant_y", "staircase", "subnormal", "huge_range", "huge_values",
+    "constant_x", "constant_y", "staircase", "subnormal", "huge_range", "huge_values", "subnormal_spread",
 )
 
 
@@ -383,7 +389,9 @@ def _kernel_row(kind, m, rng):
     if kind == "huge_range":
         x[:2] = (-1e308, 1e308)
         return x, rng.random(m)
-    return x, 1e160 * x  # the Gaussian reference's variance overflows
+    if kind == "huge_values":
+        return x, 1e160 * x  # the unscaled variance would overflow
+    return 5e-324 * np.floor(x * 8.0), x  # the Gaussian reference's std is subnormal
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from igci import (
     ConstantInputError,
     DataError,
+    DimensionMismatchError,
     Direction,
+    DomainError,
     EmptyManifestError,
     IgciError,
     LagAlignment,
@@ -316,8 +318,10 @@ def test_align_lag_guards():
     a = rng.standard_normal(20)
     with pytest.raises(TooFewRowsError):
         align_lag(a, a, max_lag=18)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="max_lag must be nonnegative, got -1"):
         align_lag(a, a, max_lag=-1)
+    with pytest.raises(DimensionMismatchError, match="series must be one-dimensional"):
+        align_lag(a[None], a, max_lag=2)
     with pytest.raises(ConstantInputError):
         align_lag(a, np.ones(20), max_lag=2)
 

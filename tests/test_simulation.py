@@ -10,18 +10,20 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from igci import (
-    CdfMixParams,
     CellTally,
     ConstantInputError,
     DataError,
+    DimensionMismatchError,
     Direction,
     DomainError,
     EstimatorKind,
     IgciReport,
     InputDist,
     InputKind,
+    LagAlignment,
+    LinearDirectionResult,
     MechanismKind,
-    MechanismSpec,
+    MultiSample,
     NoiseBoundCheck,
     NoiseKind,
     NoiseSpec,
@@ -29,10 +31,15 @@ from igci import (
     SamplePair,
     SamplingStalledError,
     TooFewRowsError,
+    align_lag,
     apply_mechanism,
+    discrete_kl,
     estimate_fisher_information,
     igci_score,
+    infer_linear_direction,
+    kl_additivity_gap,
     normalize_uniform,
+    random_cdf_mix,
     run_grid,
     run_sine,
     sample_input,
@@ -40,6 +47,7 @@ from igci import (
     spacing_entropy,
     standardize_gaussian,
     substream,
+    trace_gap,
     verify_noise_bound,
 )
 import igci._fanout
@@ -131,90 +139,94 @@ def test_sampling_stall_is_detected(monkeypatch):
 
 def test_apply_mechanism_known_points():
     grid = np.array([0.0, 0.125, 0.25, 0.5, 1.0])
-    assert apply_mechanism(MechanismSpec(MechanismKind.CUBE_ROOT), grid)[1] == 0.5
-    assert apply_mechanism(MechanismSpec(MechanismKind.SQRT), grid)[2] == 0.5
-    assert apply_mechanism(MechanismSpec(MechanismKind.SQUARE), grid)[3] == 0.25
-    assert apply_mechanism(MechanismSpec(MechanismKind.CUBE), grid)[3] == 0.125
+    assert apply_mechanism(MechanismKind.CUBE_ROOT, grid)[1] == 0.5
+    assert apply_mechanism(MechanismKind.SQRT, grid)[2] == 0.5
+    assert apply_mechanism(MechanismKind.SQUARE, grid)[3] == 0.25
+    assert apply_mechanism(MechanismKind.CUBE, grid)[3] == 0.125
 
 
 def test_apply_mechanism_monotone_into_unit_interval():
     x = np.sort(substream(78).random(500))
-    specs = [MechanismSpec(k) for k in MechanismKind if k is not MechanismKind.CDF_MIX]
-    specs += [MechanismSpec.random_cdf_mix(substream(79, t)) for t in range(20)]
-    for spec in specs:
-        y = apply_mechanism(spec, x)
+    specs = [(k, None) for k in MechanismKind if k is not MechanismKind.CDF_MIX]
+    specs += [(MechanismKind.CDF_MIX, random_cdf_mix(substream(79, t))) for t in range(20)]
+    for kind, cdf_mix in specs:
+        y = apply_mechanism(kind, x, cdf_mix)
         assert np.all(np.diff(y) >= 0.0)
         assert y.min() >= 0.0 and y.max() <= 1.0
 
 
 def test_apply_mechanism_domain_check():
-    spec = MechanismSpec(MechanismKind.SQRT)
     with pytest.raises(DomainError):
-        apply_mechanism(spec, [-0.1, 0.5])
+        apply_mechanism(MechanismKind.SQRT, [-0.1, 0.5])
     with pytest.raises(DomainError):
-        apply_mechanism(spec, [0.5, 1.1])
+        apply_mechanism(MechanismKind.SQRT, [0.5, 1.1])
+    with pytest.raises(DomainError):
+        apply_mechanism(MechanismKind.SQRT, [[0.5], [1.1]])
+    with pytest.raises(DataError, match="non-finite"):
+        apply_mechanism(MechanismKind.SQRT, [0.5, math.nan])
+    with pytest.raises(DimensionMismatchError):
+        apply_mechanism(MechanismKind.SQRT, np.full((2, 2, 2), 0.5))
 
 
 def test_cdf_mixture_single_component_centre():
-    spec = MechanismSpec(MechanismKind.CDF_MIX, CdfMixParams((1.0,), (0.5,), (0.05,)))
-    assert apply_mechanism(spec, [0.5])[0] == pytest.approx(0.5, abs=1e-12)
+    assert apply_mechanism(MechanismKind.CDF_MIX, [0.5], [[1.0], [0.5], [0.05]])[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_cdf_mixture_zero_width_becomes_step():
-    spec = MechanismSpec(MechanismKind.CDF_MIX, CdfMixParams((1.0,), (0.5,), (0.0,)))
-    out = apply_mechanism(spec, [0.4, 0.5, 0.6])
+    out = apply_mechanism(MechanismKind.CDF_MIX, [0.4, 0.5, 0.6], [[1.0], [0.5], [0.0]])
     assert out.tolist() == [0.0, 1.0, 1.0]
 
 
 def test_cdf_mixture_matches_the_per_component_formula():
-    params = CdfMixParams((0.2, 0.5, 0.3), (0.3, 0.5, 0.8), (0.05, 0.0, 0.01))
+    params = np.array([(0.2, 0.5, 0.3), (0.3, 0.5, 0.8), (0.05, 0.0, 0.01)])
     x = np.concatenate([np.linspace(0.0, 1.0, 101), substream(81).random(200)])
     want = np.zeros_like(x)
-    for w, mu, sd in zip(params.weights, params.means, params.widths):
+    for w, mu, sd in zip(*params):
         want += w * ((x >= mu).astype(np.float64) if sd == 0.0 else ndtr((x - mu) / sd))
-    spec = MechanismSpec(MechanismKind.CDF_MIX, params)
-    assert np.array_equal(apply_mechanism(spec, x), want)
+    assert np.array_equal(apply_mechanism(MechanismKind.CDF_MIX, x, params), want)
     # in a block, only the rows whose component has zero width take the step
-    other = CdfMixParams((0.3, 0.3, 0.4), (0.5, 0.1, 0.9), (0.02, 0.05, 0.01))
-    block = np.array([[p.weights, p.means, p.widths] for p in (params, other)]).transpose(1, 0, 2)
-    got = sim._mechanism_rows(MechanismKind.CDF_MIX, np.array([x, x]), block)
-    assert np.array_equal(got, [want, apply_mechanism(MechanismSpec(MechanismKind.CDF_MIX, other), x)])
+    other = np.array([(0.3, 0.3, 0.4), (0.5, 0.1, 0.9), (0.02, 0.05, 0.01)])
+    block = np.stack([params, other], axis=1)
+    got = apply_mechanism(MechanismKind.CDF_MIX, np.array([x, x]), block)
+    assert np.array_equal(got, [want, apply_mechanism(MechanismKind.CDF_MIX, x, other)])
+    # one parameter set is shared by every row of a block
+    assert np.array_equal(apply_mechanism(MechanismKind.CDF_MIX, np.array([x, x]), params), [want, want])
 
 
 def test_cdf_mix_params_validation():
-    with pytest.raises(ValueError):
-        CdfMixParams((0.5, 0.4), (0.2, 0.8), (0.01, 0.01))  # weights sum 0.9
-    with pytest.raises(ValueError):
-        CdfMixParams((1.0,), (1.5,), (0.01,))  # mean outside [0, 1]
-    with pytest.raises(ValueError):
-        CdfMixParams((1.0,), (0.5,), (0.2,))  # width above 0.1
-    with pytest.raises(ValueError):
-        CdfMixParams((0.5, 0.5), (0.5,), (0.01,))  # length mismatch
-    with pytest.raises(ValueError):
-        CdfMixParams((), (), ())
+    for params in (
+        [(0.5, 0.4), (0.2, 0.8), (0.01, 0.01)],  # weights sum 0.9
+        [(1.0,), (1.5,), (0.01,)],  # mean outside [0, 1]
+        [(1.0,), (0.5,), (0.2,)],  # width above 0.1
+        [(0.5, 0.5), (0.5, 0.5)],  # widths missing
+        np.empty((3, 0)),  # no components
+        np.full((3, 2, 1), 0.5),  # two parameter sets for one row
+    ):
+        with pytest.raises(DomainError):
+            apply_mechanism(MechanismKind.CDF_MIX, [0.5], params)
 
 
 @pytest.mark.parametrize("weights", [(math.nan,), (0.5, math.nan), (math.inf, 0.5)])
 def test_cdf_mix_params_reject_non_finite_weights(weights):
     # A NaN weight passed both checks and the mechanism returned all-NaN values.
-    with pytest.raises(ValueError, match="weights"):
-        CdfMixParams(weights, (0.5,) * len(weights), (0.05,) * len(weights))
+    with pytest.raises(DomainError, match="weights"):
+        apply_mechanism(MechanismKind.CDF_MIX, [0.5], [weights, (0.5,) * len(weights), (0.05,) * len(weights)])
 
 
 def test_mechanism_spec_requires_params_exactly_for_cdf_mix():
-    with pytest.raises(ValueError):
-        MechanismSpec(MechanismKind.CDF_MIX)
-    with pytest.raises(ValueError):
-        MechanismSpec(MechanismKind.SQRT, CdfMixParams((1.0,), (0.5,), (0.05,)))
+    with pytest.raises(DomainError):
+        apply_mechanism(MechanismKind.CDF_MIX, [0.5])
+    with pytest.raises(DomainError):
+        apply_mechanism(MechanismKind.SQRT, [0.5], [[1.0], [0.5], [0.05]])
 
 
 def test_random_cdf_mix_parameter_ranges():
     for trial in range(100):
-        params = MechanismSpec.random_cdf_mix(substream(80, trial)).cdf_mix
-        assert len(params.weights) == 5
-        assert sum(params.weights) == pytest.approx(1.0, abs=1e-12)
-        assert all(0.0 <= mu <= 1.0 for mu in params.means)
-        assert all(1e-4 <= sd <= 0.1 for sd in params.widths)
+        weights, means, widths = random_cdf_mix(substream(80, trial))
+        assert len(weights) == 5
+        assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+        assert all(0.0 <= mu <= 1.0 for mu in means)
+        assert all(1e-4 <= sd <= 0.1 for sd in widths)
 
 
 # ----------------------------------------------------------------- noise spec
@@ -233,6 +245,17 @@ def test_noise_spec_validation():
     for scale in (math.nan, math.inf):
         with pytest.raises(ValueError, match="laplace_scale must be finite and positive"):
             NoiseSpec(NoiseKind.LAPLACE, lam=0.1, laplace_scale=scale)
+
+
+def test_spec_argument_errors_are_domain_errors():
+    for make in (
+        lambda: InputDist(InputKind.UNIFORM, sigma=0.0),
+        lambda: NoiseSpec(NoiseKind.NONE, lam=0.05),
+        lambda: NoiseSpec(NoiseKind.STD_NORMAL, lam=-0.1),
+        lambda: NoiseSpec(NoiseKind.LAPLACE, lam=0.1, laplace_scale=math.nan),
+    ):
+        with pytest.raises(DomainError):
+            make()
 
 
 def test_cell_tally_accuracy():
@@ -261,9 +284,9 @@ def test_run_grid_replicates_documented_draw_order():
     expected = CellTally()
     for rep in range(5):
         rng = substream(90, 0, 4, rep)  # row A, column e
-        spec = MechanismSpec.random_cdf_mix(rng)
+        cdf_mix = random_cdf_mix(rng)
         x = sample_input(InputDist(InputKind.UNIFORM), 200, rng, truncate=True)
-        y = apply_mechanism(spec, x) + 0.01 * rng.random(200)
+        y = apply_mechanism(MechanismKind.CDF_MIX, x, cdf_mix) + 0.01 * rng.random(200)
         report = igci_score(SamplePair(x, y))
         if report.direction is Direction.X_TO_Y:
             expected.correct += 1
@@ -308,9 +331,9 @@ def test_block_draws_equal_the_documented_draw(monkeypatch, noise):
         for j, (_, kind) in enumerate(sim.GRID_MECHANISMS):
             for rep in range(reps):
                 rng = substream(41, i, j, rep)
-                spec = MechanismSpec.random_cdf_mix(rng) if kind is MechanismKind.CDF_MIX else MechanismSpec(kind)
+                cdf_mix = random_cdf_mix(rng) if kind is MechanismKind.CDF_MIX else None
                 xr = sample_input(dist, m, rng)
-                yr = apply_mechanism(spec, xr)
+                yr = apply_mechanism(kind, xr, cdf_mix)
                 if noise.kind is not NoiseKind.NONE:
                     yr = yr + noise.lam * _NOISE_DRAWS[noise.kind](rng, m)
                 want_x.append(xr)
@@ -498,9 +521,9 @@ def test_fisher_information_scale_beyond_float64_is_a_data_error(scale):
     x = scale * substream(19).standard_normal(200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DataError, match=r"value range -.* to .* overflows or underflows float64"):
+        with pytest.raises(DataError, match=r"value range -.* to .* gives a Fisher information float64 cannot carry"):
             estimate_fisher_information(x)
-        with pytest.raises(DataError, match="overflows or underflows float64"):
+        with pytest.raises(DataError, match="gives a Fisher information float64 cannot carry"):
             verify_noise_bound(x, sigma_levels=(0.5,))
 
 
@@ -509,7 +532,7 @@ def test_fisher_information_near_the_float64_maximum_is_a_data_error():
     x = rng.uniform(9e307, 1e308, 50) * rng.choice([-1.0, 1.0], 50)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DataError, match="value range .* to .* overflows or underflows float64"):
+        with pytest.raises(DataError, match="value range .* to .* gives a Fisher information float64 cannot carry"):
             estimate_fisher_information(x)
 
 
@@ -527,9 +550,15 @@ def test_fisher_information_scales_as_one_over_the_variance(power):
 def _finite_leaves(out) -> bool:
     if isinstance(out, (list, tuple)):
         return all(_finite_leaves(v) for v in out)
-    if isinstance(out, (IgciReport, NoiseBoundCheck)):
+    if isinstance(out, (IgciReport, NoiseBoundCheck, LagAlignment, LinearDirectionResult)):
         return _finite_leaves([v for v in vars(out).values() if isinstance(v, float)])
     return bool(np.all(np.isfinite(out)))
+
+
+def _linear_direction(x, y):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "linear fit residual", UserWarning)
+        return infer_linear_direction(MultiSample(x), MultiSample(y))
 
 
 @settings(max_examples=150, deadline=None)
@@ -539,6 +568,9 @@ def _finite_leaves(out) -> bool:
 )
 def test_finite_inputs_at_any_scale_give_a_finite_result_or_a_data_error(values, powers):
     x, y = (np.array(column) * 10.0 ** power for column, power in zip(zip(*values), powers))
+    with np.errstate(all="ignore"):  # a vector that is not a distribution is the callee's DataError
+        p, q = np.abs(x) / np.abs(x).sum(), np.abs(y) / np.abs(y).sum()
+    scale_x, scale_y = (10.0 ** power for power in powers)
     calls = [
         (normalize_uniform, x),
         (standardize_gaussian, x),
@@ -546,6 +578,11 @@ def test_finite_inputs_at_any_scale_give_a_finite_result_or_a_data_error(values,
         (slope_criterion, x, y),
         (estimate_fisher_information, x),
         (verify_noise_bound, x),
+        (align_lag, x, y, 1),
+        (_linear_direction, np.column_stack([x, y]), np.column_stack([x + y, x - y])),
+        (trace_gap, scale_x * np.array([[1.0, 0.5], [0.25, 2.0]]), scale_y * np.array([[2.0, 0.3], [0.3, 1.0]])),
+        (discrete_kl, p, q),
+        (kl_additivity_gap, p, q, p[::-1]),
     ]
     for reference in ReferenceFamily:
         for estimator in EstimatorKind:

@@ -79,12 +79,41 @@ def test_report_scripts_run():
         assert proc.stdout
 
 
+def _perfbench_module(monkeypatch, name: str) -> types.ModuleType:
+    """perfbench/<name>.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_span_resolves(monkeypatch):
+    # A renamed function would otherwise turn its span "absent" and read 0 without a failure.
+    spans = _perfbench_module(monkeypatch, "tracer").SPANS
+    missing = [(mod, name) for mod, name in spans if not hasattr(importlib.import_module(f"igci.{mod}"), name)]
+    assert missing == []
+
+
+def test_run_grid_calls_apply_mechanism_once_per_block(monkeypatch):
+    # The benchmark's mechanism span wraps simulation.apply_mechanism, so the grid must call it there.
+    monkeypatch.setattr(igci._fanout, "_cpu_count", lambda: 1)  # a forked worker would count in its own copy
+    monkeypatch.setattr(igci.simulation, "_BLOCK_VALUES", 2 * 20)  # blocks of 2, 2 and 1 repetitions
+    calls = []
+    kernel = igci.simulation.apply_mechanism
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(igci.simulation, "apply_mechanism", counting)
+    igci.simulation.run_grid(m=20, repetitions=5, seed=3)
+    assert calls == [2, 2, 1] * 25
+
+
 def test_simulate_grid_benchmark_stdout_matches_its_digest(capsys, monkeypatch):
     # The benchmark's own record of the seed-0 simulate-grid stdout, read from its file.
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
+    workloads = _perfbench_module(monkeypatch, "workloads")
     argv = ["simulate", "--experiment", "grid", "--m", str(workloads.GRID_M), "--reps", str(workloads.GRID_REPS),
             "--estimator", "slope", "--seed", "0"]
     assert main(argv) == 0

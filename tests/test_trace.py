@@ -76,6 +76,24 @@ def test_trace_gap_overflow_is_a_data_error(a, sigma):
         trace_gap(a, sigma)
 
 
+def test_trace_gap_underflow_is_a_data_error():
+    # A nonzero map whose traces underflow used to read as a non-positive trace.
+    with pytest.raises(DataError, match="renormalized trace of a@sigma@a.T underflows float64") as excinfo:
+        trace_gap(1e-200 * np.eye(2), np.eye(2))
+    assert type(excinfo.value) is DataError
+
+
+def test_trace_gap_equals_the_direct_traces_bit_for_bit():
+    # The traces are taken at a power-of-two scale, which is exact for normal data.
+    for trial in range(20):
+        rng = substream(53, trial)
+        d = int(rng.integers(2, 8))
+        a = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-50.0, 50.0)
+        sigma = _random_spd(rng, d) * 10.0 ** rng.uniform(-50.0, 50.0)
+        pushed, map_scale, input_scale = (np.trace(m) / d for m in (a @ sigma @ a.T, a @ a.T, sigma))
+        assert trace_gap(a, sigma) == float(np.log(pushed) - np.log(map_scale) - np.log(input_scale))
+
+
 # ----------------------------------------------------------- linear direction
 
 def _linear_case(seed: int, d: int = 8, m: int = 4000, noise: float = 0.0):
