@@ -174,9 +174,9 @@ def apply_mechanism(kind: MechanismKind, x, cdf_mix=None) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim not in (1, 2):
         raise DimensionMismatchError(f"x must be of shape (m,) or (n, m), got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise DataError("x contains non-finite values")
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        if not np.isfinite(arr).all():
+            raise DataError("x contains non-finite values")
         raise DomainError("mechanism inputs must lie in [0, 1]")
     if (kind is MechanismKind.CDF_MIX) != (cdf_mix is not None):
         raise DomainError("cdf_mix parameters are required exactly when kind is CDF_MIX")
@@ -189,11 +189,15 @@ def apply_mechanism(kind: MechanismKind, x, cdf_mix=None) -> np.ndarray:
     if kind is MechanismKind.CUBE:
         return arr * arr * arr
     rows = arr if arr.ndim == 2 else arr[None]
-    params = np.asarray(cdf_mix, dtype=np.float64)
+    shape_error = f"cdf_mix must be of shape (3, k) or (3, {len(rows)}, k)"
+    try:
+        params = np.asarray(cdf_mix, dtype=np.float64)
+    except ValueError:  # ragged, e.g. fewer means than weights
+        raise DomainError(f"{shape_error}, got components of unequal lengths") from None
     if params.ndim == 2:
         params = np.broadcast_to(params[:, None], (len(params), len(rows), params.shape[1]))
     if params.ndim != 3 or params.shape[:2] != (3, len(rows)) or params.shape[2] == 0:
-        raise DomainError(f"cdf_mix must be of shape (3, k) or (3, {len(rows)}, k), got {np.shape(cdf_mix)}")
+        raise DomainError(f"{shape_error}, got {np.shape(cdf_mix)}")
     w, mu, sd = params
     # A NaN fails every comparison, so each test is written to catch one.
     if not (np.all(w >= 0.0) and np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-8)):

@@ -198,6 +198,7 @@ def test_cdf_mix_params_validation():
         [(0.5, 0.4), (0.2, 0.8), (0.01, 0.01)],  # weights sum 0.9
         [(1.0,), (1.5,), (0.01,)],  # mean outside [0, 1]
         [(1.0,), (0.5,), (0.2,)],  # width above 0.1
+        [(0.5, 0.5), (0.5,), (0.01,)],  # length mismatch
         [(0.5, 0.5), (0.5, 0.5)],  # widths missing
         np.empty((3, 0)),  # no components
         np.full((3, 2, 1), 0.5),  # two parameter sets for one row
