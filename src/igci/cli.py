@@ -119,13 +119,15 @@ def _emit(records, fmt: str) -> None:
 
 
 def _parse_cols(text: str, flag: str) -> list:
+    """Column indices under the comma rule of data files: trailing commas end
+    the list, and any other empty field is an error."""
+    fields = text.rstrip(",").split(",")
+    if fields == [""]:
+        raise _UsageError(f"{flag} must name at least one column")
     try:
-        cols = [int(t) for t in text.split(",") if t != ""]
+        return [int(t) for t in fields]
     except ValueError:
         raise _UsageError(f"{flag} expects comma-separated integers, got {text!r}") from None
-    if not cols:
-        raise _UsageError(f"{flag} must name at least one column")
-    return cols
 
 
 def _cmd_infer(args) -> int:

@@ -68,6 +68,13 @@ def _as_finite_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _unit_scale(arr: np.ndarray) -> np.ndarray:
+    """arr / 2**e, with 2**e just above the largest |entry| (arr itself when all are 0).
+    Exact unless a result is subnormal, and arr and each power-of-two multiple of it
+    that float64 holds exactly give the same array, bit for bit."""
+    return np.ldexp(arr, -np.frexp(np.abs(arr).max(initial=0.0))[1])
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """Read-only view of arr; nothing is copied and arr itself stays writeable."""
     view = arr.view()

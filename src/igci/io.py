@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._fanout import fan_out
-from .core import _FLOAT_TINY, Direction, ReferenceFamily, SamplePair
+from .core import Direction, ReferenceFamily, SamplePair, _unit_scale
 from .errors import (
     ConstantInputError,
     DataError,
@@ -187,7 +187,6 @@ class LagAlignment:
 # Error budget of the FFT pass, relative to each whole series' centred sum
 # of squares; it sits far above the rounding of prefix sums and FFTs.
 _ALIGN_RTOL = 1e-9
-_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def _score_lag(a: np.ndarray, b: np.ndarray, lag: int) -> Optional[LagAlignment]:
@@ -251,10 +250,10 @@ def align_lag(a, b, max_lag: int) -> LagAlignment:
     Both series need at least max_lag + 3 rows, so every overlap has at
     least 3. Lags whose overlap is constant are skipped; if every lag is
     skipped the series cannot be aligned. A non-finite value is a
-    DataError: dropping its row would shift the series. So is a series
-    whose centred sum of squares float64 cannot carry: zero or subnormal
-    for values that are not all equal, or above the float64 maximum over
-    4 times the longer series' length.
+    DataError: dropping its row would shift the series. The result does not
+    depend on the scale of either series: each is divided by the power of
+    two just above its largest |value| before the search, where no sum of
+    squares or FFT product leaves float64.
 
     One FFT pass bounds |r| for every lag in O(n log n); only the lags
     that may win are then scored exactly with np.corrcoef.
@@ -274,15 +273,7 @@ def align_lag(a, b, max_lag: int) -> LagAlignment:
         raise TooFewRowsError(
             f"series of lengths {a.size} and {b.size} are too short for max_lag {max_lag}"
         )
-    # The FFT pass sums up to 4 n cross products before it normalises.
-    limit = _FLOAT_MAX / (4 * max(a.size, b.size))
-    with np.errstate(all="ignore"):  # an overflow or underflow fails the check below
-        sq = [float(np.sum(np.square(s - s.mean()))) for s in (a, b)]
-    if not all(q <= limit and (q >= _FLOAT_TINY or s.min() == s.max()) for s, q in zip((a, b), sq)):
-        raise DataError(
-            f"series ranges [{a.min():g}, {a.max():g}] and [{b.min():g}, {b.max():g}] "
-            "are beyond what a float64 correlation can carry"
-        )
+    a, b = _unit_scale(a), _unit_scale(b)
     best: Optional[LagAlignment] = None
     for lag in sorted(_candidate_lags(a, b, max_lag).tolist(), key=lambda L: (abs(L), L)):
         found = _score_lag(a, b, lag)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -401,10 +402,20 @@ def test_tracedir_column_errors(capsys, linear_table):
     assert code == EXIT_USAGE and "igci: error" in err
     code, _, err = run_cli(capsys, "tracedir", str(linear_table), "--x-cols", ",", "--y-cols", "2,3")
     assert code == EXIT_USAGE and err == "igci: error: --x-cols must name at least one column\n"
+    for cols in ("0,,1", ",0,1"):  # the comma rule of data files: no empty field before the last value
+        code, out, err = run_cli(capsys, "tracedir", str(linear_table), "--x-cols", cols, "--y-cols", "2,3")
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"igci: error: --x-cols expects comma-separated integers, got {cols!r}\n"
     code, _, err = run_cli(capsys, "tracedir", str(linear_table), "--x-cols", "0,9", "--y-cols", "2,3")
     assert code == EXIT_DATA
     code, _, err = run_cli(capsys, "tracedir", str(linear_table), "--x-cols", "0,0", "--y-cols", "2,3")
     assert code == EXIT_DATA  # duplicated regressor column cannot be fit
+
+
+def test_tracedir_trailing_comma_in_columns_is_accepted(capsys, linear_table):
+    plain = run_cli(capsys, "tracedir", str(linear_table), "--x-cols", "0,1", "--y-cols", "2,3")
+    trailing = run_cli(capsys, "tracedir", str(linear_table), "--x-cols", "0,1,", "--y-cols", "2,3,")
+    assert trailing == plain and plain[0] == EXIT_OK
 
 
 def test_tracedir_non_finite_value_is_a_data_error(capsys, linear_table):
@@ -424,15 +435,19 @@ def test_tracedir_constant_y_columns_is_a_data_error(capsys, tmp_path):
     assert err == "igci: data error: y is constant\n"
 
 
-def test_tracedir_scale_beyond_float64_is_a_data_error(capsys, tmp_path):
+def test_tracedir_with_one_column_per_side_is_undecided(capsys, tmp_path):
+    # With d = 1 the renormalized trace factorises, so both gaps vanish up to rounding.
     rng = substream(205)
-    x = rng.standard_normal((200, 2))
-    y = 1e200 * (x @ np.array([[2.0, 1.0], [0.5, 1.0]]).T + 0.01 * rng.standard_normal((200, 2)))
-    path = tmp_path / "huge.tsv"
-    path.write_text("".join("\t".join(f"{v:.17g}" for v in row) + "\n" for row in np.column_stack([x, y])))
-    code, out, err = run_cli(capsys, "tracedir", str(path), "--x-cols", "0,1", "--y-cols", "2,3")
-    assert code == EXIT_DATA and out == ""
-    assert "igci: data error" in err and "igci: warning:" not in err
+    x = rng.standard_normal(200)
+    y = 2.0 * x + 0.01 * rng.standard_normal(200)
+    path = tmp_path / "line.tsv"
+    for scale in (1e-300, 1e-20, 1.0, 3.0, 1e20, 1e300):
+        path.write_text("".join(f"{u:.17g}\t{v:.17g}\n" for u, v in zip(scale * x, y)))
+        code, out, err = run_cli(capsys, "tracedir", str(path), "--x-cols", "0", "--y-cols", "1")
+        assert code == EXIT_OK and err == ""
+        (record,) = json_records(out)
+        assert record["direction"] == "undecided" and record["d"] == 1
+        assert abs(record["gap_xy"]) <= 1e-15 and abs(record["gap_yx"]) <= 1e-15
 
 
 # ----------------------------------------------------------------------- align
@@ -488,20 +503,52 @@ def test_align_non_finite_value_is_a_data_error(capsys, tmp_path):
     assert err == "igci: data error: series b has a non-finite value at row 150 (counting from 0)\n"
 
 
-def test_align_scale_beyond_float64_is_a_data_error(capsys, tmp_path):
-    a = 1e302 * substream(209).standard_normal(101)
-    path = tmp_path / "huge.tsv"
-    path.write_text("".join(f"{u:.17g}\t{v:.17g}\n" for u, v in zip(a, np.roll(a, 2))))
-    code, out, err = run_cli(capsys, "align", str(path))
-    assert code == EXIT_DATA and out == ""
-    assert err.startswith("igci: data error: series ranges [") and err.count("\n") == 1
-
-
 def test_align_negative_max_lag_is_usage(capsys, tmp_path):
     path = tmp_path / "s.tsv"
     path.write_text("".join(f"{v} {v}\n" for v in range(30)))
     code, _, err = run_cli(capsys, "align", str(path), "--max-lag", "-2")
     assert code == EXIT_USAGE and "igci: error" in err
+
+
+# ------------------------------------------------------------------ scale sweep
+
+_SWEEP = {
+    "infer-uniform-entropy": ["infer", "{table}", "--y-col", "2"],
+    "infer-uniform-slope": ["infer", "{table}", "--y-col", "2", "--estimator", "slope"],
+    "infer-gaussian-entropy": ["infer", "{table}", "--y-col", "2", "--reference", "gaussian"],
+    "infer-gaussian-slope": ["infer", "{table}", "--y-col", "2", "--reference", "gaussian", "--estimator", "slope"],
+    "pairs": ["pairs", "{manifest}"],
+    "align": ["align", "{table}", "--y-col", "4"],
+    "tracedir": ["tracedir", "{table}", "--x-cols", "0,1", "--y-cols", "2,3"],
+}
+# The field of each scale-free command that must read as at scale 1 for 10**k, |k| <= 300.
+_SCALE_FREE = {"align": "lag", "tracedir": "direction"}
+
+
+@pytest.mark.parametrize("command", list(_SWEEP))
+def test_every_scale_gives_finite_json_or_one_data_error(capsys, tmp_path, command):
+    rng = substream(210)
+    x = rng.standard_normal((60, 2))
+    y = x @ np.array([[2.0, 1.0], [0.5, 1.0]]).T + 0.01 * rng.standard_normal((60, 2))
+    table = np.column_stack([x, y, np.roll(x[:, 0], 3) + 0.1 * rng.standard_normal(60)])
+    path = tmp_path / "table.tsv"
+    (tmp_path / "m.csv").write_text("t, table.tsv, 0, 2\n")
+    argv = [a.format(table=path, manifest=tmp_path / "m.csv") for a in _SWEEP[command]]
+    expected = None
+    for k in [0, *range(-320, 301)]:
+        path.write_text("".join("\t".join(f"{v:.17g}" for v in row) + "\n" for row in table * 10.0 ** k))
+        code, out, err = run_cli(capsys, *argv)
+        if code == EXIT_DATA:
+            assert out == "" and err.startswith("igci: data error: ") and err.count("\n") == 1, (k, err)
+            assert command not in _SCALE_FREE or abs(k) > 300, (k, err)
+            continue
+        assert code == EXIT_OK and err == "", (k, code, err)
+        records = json_records(out)
+        assert all(math.isfinite(v) for rec in records for v in rec.values() if isinstance(v, float)), (k, out)
+        if command in _SCALE_FREE:
+            field = records[0][_SCALE_FREE[command]]
+            expected = field if expected is None else expected
+            assert field == expected or abs(k) > 300, (k, out)
 
 
 # ---------------------------------------------------------------------- verify
