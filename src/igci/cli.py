@@ -15,13 +15,14 @@ else 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
 from pathlib import Path
 
 from .core import MultiSample, ReferenceFamily, kl_additivity_gap
-from .errors import DataError, IgciError
+from .errors import DataError, DomainError, IgciError
 from .estimators import EstimatorKind, igci_score
 from .io import (
     align_lag,
@@ -208,7 +209,7 @@ def _cmd_simulate(args) -> int:
             noise = NoiseSpec(
                 kind=NoiseKind(args.noise), lam=args.lam, laplace_scale=args.laplace_scale
             )
-        except ValueError as exc:
+        except DomainError as exc:
             raise _UsageError(str(exc)) from None
         result = run_grid(
             noise=noise,
@@ -264,9 +265,9 @@ def _cmd_tracedir(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    a, b = load_columns(args.file, (args.x_col, args.y_col)).T
     if args.max_lag is not None and args.max_lag < 0:
         raise _UsageError(f"--max-lag must be nonnegative, got {args.max_lag}")
+    a, b = load_columns(args.file, (args.x_col, args.y_col)).T
     max_lag = args.max_lag if args.max_lag is not None else max(1, min(a.size, b.size) // 10)
     alignment = align_lag(a, b, max_lag)
     if abs(alignment.correlation) < LOW_CORRELATION_WARN:
@@ -343,6 +344,8 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+# Built once per process: parse_args reads the parser and leaves it unchanged.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="igci", description="Causal direction inference for dependent pairs")
     sub = parser.add_subparsers(dest="command", required=True)

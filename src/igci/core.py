@@ -18,15 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    ConstantInputError,
-    DataError,
-    DimensionMismatchError,
-    DomainError,
-    SingularCovarianceError,
-    SupportMismatchError,
-    TooFewRowsError,
-)
+from .errors import ConstantInputError, DataError, DomainError
 
 __all__ = [
     "Direction",
@@ -62,7 +54,7 @@ _FLOAT_TINY = float(np.finfo(np.float64).tiny)
 def _as_finite_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
-        raise DimensionMismatchError(f"{name} must be one-dimensional, got shape {arr.shape}")
+        raise DataError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise DataError(f"{name} contains non-finite values")
     return arr
@@ -93,9 +85,9 @@ class SamplePair:
         x = _as_finite_vector(self.x, "x")
         y = _as_finite_vector(self.y, "y")
         if x.shape != y.shape:
-            raise DimensionMismatchError(f"x has {x.size} rows, y has {y.size}")
+            raise DataError(f"x has {x.size} rows, y has {y.size}")
         if x.size < 3:
-            raise TooFewRowsError(f"need at least 3 paired rows, got {x.size}")
+            raise DataError(f"need at least 3 paired rows, got {x.size}")
         object.__setattr__(self, "x", _frozen(x))
         object.__setattr__(self, "y", _frozen(y))
 
@@ -113,12 +105,12 @@ class MultiSample:
     def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.ndim != 2:
-            raise DimensionMismatchError(f"data must be m x d, got shape {arr.shape}")
+            raise DataError(f"data must be m x d, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise DataError("data contains non-finite values")
         # m > d is required for a nonsingular empirical covariance.
         if arr.shape[0] <= arr.shape[1]:
-            raise SingularCovarianceError(
+            raise DataError(
                 f"{arr.shape[0]} observations in {arr.shape[1]} dimensions cannot have full-rank covariance"
             )
         object.__setattr__(self, "data", _frozen(arr))
@@ -234,15 +226,15 @@ def discrete_kl(p, q) -> float:
     """Kullback-Leibler divergence sum(p * log(p / q)) over a shared support.
 
     Zero p entries contribute nothing; a positive p entry where q is zero
-    means the supports differ and raises SupportMismatchError.
+    means the supports differ and raises DataError.
     """
     p = _as_probability_vector(p, "p")
     q = _as_probability_vector(q, "q")
     if p.size != q.size:
-        raise SupportMismatchError(f"length {p.size} vs {q.size}")
+        raise DataError(f"length {p.size} vs {q.size}")
     live = p > 0.0
     if np.any(q[live] == 0.0):
-        raise SupportMismatchError("p has mass where q has none")
+        raise DataError("p has mass where q has none")
     # A difference of logs, since p / q can overflow where log(p / q) cannot.
     value = float(np.sum(p[live] * (np.log(p[live]) - np.log(q[live]))))
     # Rounding can leave a tiny negative residue when p == q.
@@ -262,9 +254,9 @@ def kl_additivity_gap(q, r, s) -> tuple[float, float]:
     rv = _as_probability_vector(r, "r")
     sv = _as_probability_vector(s, "s")
     if not (qv.size == rv.size == sv.size):
-        raise SupportMismatchError("q, r, s must share one support")
+        raise DataError("q, r, s must share one support")
     if np.any(rv == 0.0) or np.any(sv == 0.0):
-        raise SupportMismatchError("r and s must be strictly positive")
+        raise DataError("r and s must be strictly positive")
     via_divergences = discrete_kl(qv, sv) - discrete_kl(qv, rv) - discrete_kl(rv, sv)
     log_ratio = np.log(rv) - np.log(sv)
     direct = float(np.sum(qv * log_ratio) - np.sum(rv * log_ratio))

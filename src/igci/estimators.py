@@ -34,13 +34,7 @@ from .core import (
     _one_row,
     digamma,
 )
-from .errors import (
-    AllTiedError,
-    DataError,
-    DimensionMismatchError,
-    NoValidSpacingsError,
-    TooFewRowsError,
-)
+from .errors import ConstantInputError, DataError
 
 __all__ = [
     "DECISION_TOL",
@@ -86,7 +80,7 @@ def _spacing_stat(errors: dict, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     positive = spacings > 0.0
     kept = np.count_nonzero(positive, axis=1)
     for i in np.flatnonzero(kept == 0).tolist():
-        errors.setdefault(i, AllTiedError("every value is identical"))
+        errors.setdefault(i, ConstantInputError("every value is identical"))
     # Zero spacings are dropped and the divisor shrinks with them; the
     # digamma terms keep the full sample size.
     stat = digamma(values.shape[1]) - digamma(1.0) + _mean_logs(spacings, positive, kept)
@@ -101,7 +95,7 @@ def spacing_entropy(values) -> float:
     """Differential entropy estimate from consecutive order-statistic gaps."""
     arr = _as_finite_vector(values, "values")
     if arr.size < 2:
-        raise TooFewRowsError(f"need at least 2 values, got {arr.size}")
+        raise DataError(f"need at least 2 values, got {arr.size}")
     return float(_one_row(_spacing_stat, arr[None])[0][0])
 
 
@@ -126,7 +120,7 @@ def _slope_stat(errors: dict, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarra
     kept = np.count_nonzero(keep, axis=1)
     stat = _mean_logs(np.abs(dy / dx), keep, kept)
     for i in np.flatnonzero(kept == 0).tolist():
-        errors.setdefault(i, NoValidSpacingsError("every consecutive pair had a zero difference"))
+        errors.setdefault(i, DataError("every consecutive pair had a zero difference"))
     for i in np.flatnonzero(~np.isfinite(stat) & (kept > 0)).tolist():
         errors.setdefault(i, DataError(
             "mean log slope is not finite: dy/dx leaves the float range; the smallest "
@@ -159,9 +153,9 @@ def slope_criterion(x, y) -> float:
     xa = _as_finite_vector(x, "x")
     ya = _as_finite_vector(y, "y")
     if xa.size != ya.size:
-        raise DimensionMismatchError(f"x has {xa.size} rows, y has {ya.size}")
+        raise DataError(f"x has {xa.size} rows, y has {ya.size}")
     if xa.size < 2:
-        raise TooFewRowsError(f"need at least 2 paired rows, got {xa.size}")
+        raise DataError(f"need at least 2 paired rows, got {xa.size}")
     return float(_one_row(lambda errors: _slope_stat(errors, *_sorted_diffs(xa[None], ya[None])))[0][0])
 
 

@@ -25,16 +25,7 @@ import numpy as np
 
 from ._fanout import fan_out
 from .core import Direction, ReferenceFamily, SamplePair, _unit_scale
-from .errors import (
-    ConstantInputError,
-    DataError,
-    DimensionMismatchError,
-    DomainError,
-    EmptyManifestError,
-    IgciError,
-    ParseError,
-    TooFewRowsError,
-)
+from .errors import ConstantInputError, DataError, DomainError, IgciError
 from .estimators import EstimatorKind, IgciReport, igci_score
 
 __all__ = [
@@ -61,17 +52,17 @@ def _tokenize(line: str) -> list:
 
 
 def _read_text(path: Path) -> str:
-    """The whole file as UTF-8 text; ParseError when unreadable or not UTF-8."""
+    """The whole file as UTF-8 text; DataError when unreadable or not UTF-8."""
     try:
         data = path.read_bytes()
     except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        raise DataError(f"{path}: {exc}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[: exc.start]  # line breaks as universal newlines count them
         lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ParseError(
+        raise DataError(
             f"{path}:{lineno}: not UTF-8 text (byte {data[exc.start]:#04x} at offset {exc.start})"
         ) from None
 
@@ -88,13 +79,13 @@ def _parse_lines(path: Path, text: str) -> np.ndarray:
         if width is None:
             width = len(tokens)
         elif len(tokens) != width:
-            raise ParseError(f"{path}:{lineno}: expected {width} columns, found {len(tokens)}")
+            raise DataError(f"{path}:{lineno}: expected {width} columns, found {len(tokens)}")
         try:
             rows.append([float(t) for t in tokens])
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     if not rows:
-        raise TooFewRowsError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -103,7 +94,7 @@ def load_table(path) -> np.ndarray:
 
     '#' starts a comment that runs to the end of its line. An empty field
     before the last value of a comma-separated line ('1,,2', ',1,2') is a
-    ParseError naming its line; a trailing comma is accepted.
+    DataError naming its line; a trailing comma is accepted.
 
     np.loadtxt reads well-formed files in one pass, splitting at commas if
     the first data line has one. It accepts a subset of what the line
@@ -137,13 +128,13 @@ def load_table(path) -> np.ndarray:
 def load_columns(path, cols: Sequence[int]) -> np.ndarray:
     """Read a table and return the chosen columns, in the order given.
 
-    Raises ParseError naming the first column the rows do not have.
+    Raises DataError naming the first column the rows do not have.
     """
     table = load_table(path)
     ncols = table.shape[1]
     for col in cols:
         if not 0 <= col < ncols:
-            raise ParseError(f"{path}: column {col} not present (rows have {ncols} columns)")
+            raise DataError(f"{path}: column {col} not present (rows have {ncols} columns)")
     return table[:, list(cols)]
 
 
@@ -151,8 +142,8 @@ def load_pair(path, x_col: int = 0, y_col: int = 1) -> SamplePair:
     """Load two columns as a SamplePair.
 
     Rows with a non-finite value in either chosen column are dropped; a
-    single warning reports how many. Raises ParseError when a column is
-    missing and TooFewRowsError when fewer than 3 usable rows remain.
+    single warning reports how many. Raises DataError when a column is
+    missing or fewer than 3 usable rows remain.
     """
     x, y = load_columns(path, (x_col, y_col)).T
     keep = np.isfinite(x) & np.isfinite(y)
@@ -162,7 +153,7 @@ def load_pair(path, x_col: int = 0, y_col: int = 1) -> SamplePair:
         x = x[keep]
         y = y[keep]
     if x.size < 3:
-        raise TooFewRowsError(f"{path}: only {x.size} usable rows")
+        raise DataError(f"{path}: only {x.size} usable rows")
     return SamplePair(x, y)
 
 
@@ -261,7 +252,7 @@ def align_lag(a, b, max_lag: int) -> LagAlignment:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1:
-        raise DimensionMismatchError("series must be one-dimensional")
+        raise DataError("series must be one-dimensional")
     for name, series in (("a", a), ("b", b)):
         bad = np.flatnonzero(~np.isfinite(series))
         if bad.size:
@@ -270,7 +261,7 @@ def align_lag(a, b, max_lag: int) -> LagAlignment:
     if max_lag < 0:
         raise DomainError(f"max_lag must be nonnegative, got {max_lag}")
     if a.size < max_lag + 3 or b.size < max_lag + 3:
-        raise TooFewRowsError(
+        raise DataError(
             f"series of lengths {a.size} and {b.size} are too short for max_lag {max_lag}"
         )
     a, b = _unit_scale(a), _unit_scale(b)
@@ -304,7 +295,7 @@ class ManifestEntry:
 
     def __post_init__(self) -> None:
         if not (self.weight > 0.0 and math.isfinite(self.weight)):
-            raise ParseError(f"entry {self.entry_id}: weight must be positive, got {self.weight!r}")
+            raise DataError(f"entry {self.entry_id}: weight must be positive, got {self.weight!r}")
 
 
 def load_manifest(path) -> tuple:
@@ -316,11 +307,11 @@ def load_manifest(path) -> tuple:
     for lineno, row in enumerate(csv.reader(lines), start=1):
         row = [field.strip() for field in row]
         if len(row) < 4 or len(row) > 6:
-            raise ParseError(f"{path}: entry {lineno}: expected 4 to 6 fields, got {len(row)}")
+            raise DataError(f"{path}: entry {lineno}: expected 4 to 6 fields, got {len(row)}")
         entry_id, rel_path, x_col, y_col = row[:4]
         truth_token = row[4].lower() if len(row) > 4 else ""
         if truth_token not in _TRUTH_TOKENS:
-            raise ParseError(f"{path}: entry {lineno}: unknown truth {row[4]!r}")
+            raise DataError(f"{path}: entry {lineno}: unknown truth {row[4]!r}")
         try:
             weight = float(row[5]) if len(row) > 5 else 1.0
             entries.append(
@@ -334,9 +325,9 @@ def load_manifest(path) -> tuple:
                 )
             )
         except ValueError as exc:
-            raise ParseError(f"{path}: entry {lineno}: {exc}") from None
+            raise DataError(f"{path}: entry {lineno}: {exc}") from None
     if not entries:
-        raise EmptyManifestError(f"{path}: manifest has no entries")
+        raise DataError(f"{path}: manifest has no entries")
     return tuple(entries)
 
 
@@ -374,7 +365,7 @@ def evaluate_manifest(
     summary numbers invariant under entry reordering.
     """
     if not manifest:
-        raise EmptyManifestError("manifest has no entries")
+        raise DataError("manifest has no entries")
 
     def report(entry: ManifestEntry) -> EntryReport:
         try:

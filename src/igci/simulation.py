@@ -26,13 +26,7 @@ from scipy.special import ndtr
 
 from ._fanout import fan_out
 from .core import Direction, ReferenceFamily, _as_finite_vector, standardize_gaussian
-from .errors import (
-    DataError,
-    DimensionMismatchError,
-    DomainError,
-    SamplingStalledError,
-    TooFewRowsError,
-)
+from .errors import DataError, DomainError, NumericError
 from .estimators import EstimatorKind, _direction, _score_stack, spacing_entropy
 
 __all__ = [
@@ -115,7 +109,7 @@ def _propose(dist: InputDist, rng: np.random.Generator, n: int) -> np.ndarray:
 def sample_input(dist: InputDist, m: int, rng: np.random.Generator, truncate: bool = True) -> np.ndarray:
     """Draw m values from rng, rejection-truncated to [0, 1] unless truncate=False."""
     if m < 1:
-        raise TooFewRowsError(f"m must be at least 1, got {m}")
+        raise DataError(f"m must be at least 1, got {m}")
     if not truncate:
         return _propose(dist, rng, m)
     out = np.empty(m, dtype=np.float64)
@@ -127,7 +121,7 @@ def sample_input(dist: InputDist, m: int, rng: np.random.Generator, truncate: bo
         if accepted.size == 0:
             consecutive_rejects += chunk.size
             if consecutive_rejects >= _MAX_CONSECUTIVE_REJECTS:
-                raise SamplingStalledError(
+                raise NumericError(
                     f"no acceptances in {consecutive_rejects} consecutive draws for {dist}"
                 )
             continue
@@ -173,7 +167,7 @@ def apply_mechanism(kind: MechanismKind, x, cdf_mix=None) -> np.ndarray:
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim not in (1, 2):
-        raise DimensionMismatchError(f"x must be of shape (m,) or (n, m), got shape {arr.shape}")
+        raise DataError(f"x must be of shape (m,) or (n, m), got shape {arr.shape}")
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         if not np.isfinite(arr).all():
             raise DataError("x contains non-finite values")
@@ -314,7 +308,7 @@ def _run_cells(cells, draw, m, repetitions, estimator, reference, seed) -> list:
     pairs in cell order.
     """
     if m < 3:
-        raise TooFewRowsError(f"m must be at least 3, got {m}")
+        raise DataError(f"m must be at least 3, got {m}")
     if repetitions < 1:
         raise DomainError(f"repetitions must be at least 1, got {repetitions}")
     rows = min(repetitions, max(1, _BLOCK_VALUES // m))
@@ -437,7 +431,7 @@ def estimate_fisher_information(values) -> float:
     arr = _as_finite_vector(values, "values")
     m = arr.size
     if m < 16:
-        raise TooFewRowsError(f"need at least 16 values, got {m}")
+        raise DataError(f"need at least 16 values, got {m}")
     z, _, std = standardize_gaussian(arr)
     q25, q75 = np.percentile(z, [25.0, 75.0])
     iqr = float(q75 - q25)

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Direction, MultiSample, _unit_scale
-from .errors import (
-    DataError,
-    DimensionMismatchError,
-    NonPositiveTraceError,
-    SingularFitError,
-)
+from .errors import ConstantInputError, DataError, NumericError
 from .estimators import _direction
 
 __all__ = [
@@ -41,7 +36,7 @@ _MAX_CONDITION = 1e12
 def _square(matrix, name: str) -> np.ndarray:
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
-        raise DimensionMismatchError(f"{name} must be square and non-empty, got shape {arr.shape}")
+        raise DataError(f"{name} must be square and non-empty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{name} contains non-finite entries")
     return arr
@@ -61,14 +56,14 @@ def trace_gap(a, sigma_x) -> float:
     a_arr = _square(a, "a")
     s_arr = _square(sigma_x, "sigma_x")
     if a_arr.shape != s_arr.shape:
-        raise DimensionMismatchError(f"a is {a_arr.shape}, sigma_x is {s_arr.shape}")
+        raise DataError(f"a is {a_arr.shape}, sigma_x is {s_arr.shape}")
     d = a_arr.shape[0]
     a_u, s_u = _unit_scale(a_arr), _unit_scale(s_arr)
     traces = []
     for name, product in (("a@sigma@a.T", a_u @ s_u @ a_u.T), ("a@a.T", a_u @ a_u.T), ("sigma_x", s_u)):
         value = float(np.trace(product)) / d
         if not value > 0.0:
-            raise NonPositiveTraceError(f"renormalized trace of {name} is not positive")
+            raise NumericError(f"renormalized trace of {name} is not positive")
         traces.append(value)
     pushed, map_scale, input_scale = traces
     return float(np.log(pushed / (map_scale * input_scale)))
@@ -86,7 +81,7 @@ def _fit_map(inputs_c: np.ndarray, outputs_c: np.ndarray) -> np.ndarray:
     """Least-squares map from centered inputs to centered outputs."""
     coef, _, rank, _ = np.linalg.lstsq(inputs_c, outputs_c, rcond=None)
     if rank < inputs_c.shape[1]:
-        raise SingularFitError(f"regressor rank {rank} < dimension {inputs_c.shape[1]}")
+        raise DataError(f"regressor rank {rank} < dimension {inputs_c.shape[1]}")
     return coef.T
 
 
@@ -111,9 +106,9 @@ def infer_linear_direction(
     result bit for bit.
     """
     if x.m != y.m:
-        raise DimensionMismatchError(f"x has {x.m} rows, y has {y.m}")
+        raise DataError(f"x has {x.m} rows, y has {y.m}")
     if x.d != y.d:
-        raise DimensionMismatchError(f"x is {x.d}-dimensional, y is {y.d}-dimensional")
+        raise DataError(f"x is {x.d}-dimensional, y is {y.d}-dimensional")
     x_c, y_c = _unit_scale(x.data), _unit_scale(y.data)  # fresh arrays, centred in place
     x_c -= x_c.mean(axis=0)
     y_c -= y_c.mean(axis=0)
@@ -121,11 +116,11 @@ def infer_linear_direction(
     sigma_y = y_c.T @ y_c / y.m
     a = _fit_map(x_c, y_c)
     if not y_c.any():
-        raise SingularFitError("y is constant")
+        raise ConstantInputError("y is constant")
     # Before the residual: a y column whose spread is far below another column's scale
     # makes the map singular, and can leave the norm of y_c at zero.
     if np.linalg.cond(a) > _MAX_CONDITION:
-        raise SingularFitError("fitted map is numerically singular")
+        raise DataError("fitted map is numerically singular")
     residual_rel = float(np.linalg.norm(y_c - x_c @ a.T) / np.linalg.norm(y_c))
     if residual_rel > RESIDUAL_WARN_THRESHOLD:
         warnings.warn(
@@ -139,7 +134,7 @@ def infer_linear_direction(
         try:
             reverse = np.linalg.inv(a)
         except np.linalg.LinAlgError as exc:
-            raise SingularFitError("forward map is not invertible") from exc
+            raise DataError("forward map is not invertible") from exc
     gap_xy = trace_gap(a, sigma_x)
     gap_yx = trace_gap(reverse, sigma_y)
     return LinearDirectionResult(

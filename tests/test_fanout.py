@@ -16,7 +16,7 @@ from igci import (
     EstimatorKind,
     NoiseKind,
     NoiseSpec,
-    SamplingStalledError,
+    NumericError,
     evaluate_manifest,
     load_manifest,
     run_grid,
@@ -139,7 +139,8 @@ def test_a_stalled_cell_raises_as_in_a_serial_run(monkeypatch):
 
     monkeypatch.setattr(sim, "_propose", stalling)
     outcomes = [_on_workers(monkeypatch, n, lambda: _outcome(lambda: run_grid(m=20, repetitions=2))) for n in WORKERS]
-    assert outcomes[0][0] is SamplingStalledError and "GAUSS_AT_ONE" in outcomes[0][1]
+    assert outcomes[0][0] is NumericError
+    assert "no acceptances" in outcomes[0][1] and "GAUSS_AT_ONE" in outcomes[0][1]
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 

@@ -13,7 +13,6 @@ from igci import (
     CellTally,
     ConstantInputError,
     DataError,
-    DimensionMismatchError,
     Direction,
     DomainError,
     EstimatorKind,
@@ -27,10 +26,9 @@ from igci import (
     NoiseBoundCheck,
     NoiseKind,
     NoiseSpec,
+    NumericError,
     ReferenceFamily,
     SamplePair,
-    SamplingStalledError,
-    TooFewRowsError,
     align_lag,
     apply_mechanism,
     discrete_kl,
@@ -124,14 +122,14 @@ def test_input_dist_validation():
         InputDist(InputKind.UNIFORM, sigma=0.0)
     with pytest.raises(ValueError):
         InputDist(InputKind.UNIFORM, sigma=float("inf"))
-    with pytest.raises(TooFewRowsError):
+    with pytest.raises(DataError, match="m must be at least 1, got 0"):
         sample_input(InputDist(InputKind.UNIFORM), 0, substream(0))
 
 
 def test_sampling_stall_is_detected(monkeypatch):
     # a proposal stream that never lands in [0, 1]
     monkeypatch.setattr(sim, "_propose", lambda dist, rng, n: np.full(n, 2.0))
-    with pytest.raises(SamplingStalledError):
+    with pytest.raises(NumericError, match="no acceptances in"):
         sample_input(InputDist(InputKind.GAUSS_AT_ONE), 10, substream(77))
 
 
@@ -164,7 +162,7 @@ def test_apply_mechanism_domain_check():
         apply_mechanism(MechanismKind.SQRT, [[0.5], [1.1]])
     with pytest.raises(DataError, match="non-finite"):
         apply_mechanism(MechanismKind.SQRT, [0.5, math.nan])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DataError, match=r"x must be of shape \(m,\) or \(n, m\), got shape \(2, 2, 2\)"):
         apply_mechanism(MechanismKind.SQRT, np.full((2, 2, 2), 0.5))
 
 
@@ -370,7 +368,7 @@ def test_one_row_blocks_give_the_same_records(monkeypatch, run):
 
 
 def test_run_grid_validation():
-    with pytest.raises(TooFewRowsError):
+    with pytest.raises(DataError, match="m must be at least 3, got 2"):
         run_grid(m=2, repetitions=1)
     with pytest.raises(ValueError):
         run_grid(m=10, repetitions=0)
@@ -484,7 +482,7 @@ def test_run_sine_parameter_guards():
         run_sine(omega=math.nan)
     with pytest.raises(DomainError):
         run_sine(epsilon=0.0, omega=math.inf)
-    with pytest.raises(TooFewRowsError):
+    with pytest.raises(DataError, match="m must be at least 3, got 2"):
         run_sine(m=2)
 
 
@@ -511,7 +509,7 @@ def test_fisher_information_gaussian_calibration():
 
 
 def test_fisher_information_guards():
-    with pytest.raises(TooFewRowsError):
+    with pytest.raises(DataError, match="need at least 16 values, got 10"):
         estimate_fisher_information(np.arange(10.0))
     with pytest.raises(ConstantInputError):
         estimate_fisher_information(np.full(100, 2.0))
@@ -597,8 +595,9 @@ def test_finite_inputs_at_any_scale_give_a_finite_result_or_a_data_error(values,
             try:
                 out = fn(*args)
             except DataError as exc:
-                # A scale-free route refuses data only for what it lacks at every scale.
-                assert not (fn in _SCALE_FREE and type(exc) is DataError), (fn, exc)
+                # A scale-free route refuses data only for what it lacks at every scale,
+                # never because a value range leaves float64.
+                assert not (fn in _SCALE_FREE and "float64" in str(exc)), (fn, exc)
                 continue
         assert _finite_leaves(out), (fn, out)
 

@@ -55,6 +55,12 @@ def test_every_public_name_has_a_caller_outside_tests():
     assert uncalled == []
 
 
+def test_every_error_class_is_documented_in_the_readme():
+    # An error class is kept only as a documented contract; other failures raise their family.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert [name for name in igci.errors.__all__ if f"`{name}`" not in readme] == []
+
+
 def test_package_exports_exactly_the_module_lists():
     modules = ("core", "errors", "estimators", "io", "simulation", "trace")
     declared = [n for mod in modules for n in importlib.import_module(f"igci.{mod}").__all__]
