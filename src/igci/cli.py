@@ -211,7 +211,7 @@ def _cmd_simulate(args) -> int:
             )
         except DomainError as exc:
             raise _UsageError(str(exc)) from None
-        result = run_grid(
+        tallies = run_grid(
             noise=noise,
             m=args.m,
             repetitions=args.reps,
@@ -226,9 +226,9 @@ def _cmd_simulate(args) -> int:
             "lambda": noise.lam,
             "laplace_scale": noise.laplace_scale,
         }
-        cells = [_cell_record(tally, row=row, col=col) for (row, col), tally in result.cells.items()]
+        cells = [_cell_record(tally, row=row, col=col) for (row, col), tally in tallies.items()]
     else:
-        result = run_sine(
+        tallies = run_sine(
             epsilon=args.epsilon,
             omega=args.omega,
             m=args.m,
@@ -238,7 +238,7 @@ def _cmd_simulate(args) -> int:
             seed=seed,
         )
         config = {"epsilon": args.epsilon, "omega": args.omega, "m": args.m, "repetitions": args.reps}
-        cells = [_cell_record(tally, input=label) for label, tally in result.entries]
+        cells = [_cell_record(tally, input=label) for label, tally in tallies.items()]
     config.update(estimator=estimator.value, reference=reference.value, seed=seed)
     _emit([{"record": "config", **config}, *cells], args.format)
     return EXIT_OK

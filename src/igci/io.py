@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,6 +88,11 @@ def _parse_lines(path: Path, text: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
+# np.loadtxt opens a path through numpy's DataSource, which decompresses
+# these suffixes and, for a missing path, opens the path plus any of them.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def load_table(path) -> np.ndarray:
     """Read a whole numeric table; every data row must have the same width.
 
@@ -96,33 +100,29 @@ def load_table(path) -> np.ndarray:
     before the last value of a comma-separated line ('1,,2', ',1,2') is a
     DataError naming its line; a trailing comma is accepted.
 
-    np.loadtxt reads well-formed files in one pass, splitting at commas if
-    the first data line has one. It accepts a subset of what the line
-    parser accepts, with the same values, so any file it rejects (or finds
-    empty) is handed to the line parser, which returns the same table or
-    raises with the offending line number.
+    np.loadtxt reads a well-formed file from its path in one pass, split at
+    whitespace or, failing that, at commas. It accepts a subset of what the
+    line parser accepts, with the same values, so a file both attempts
+    reject (or find empty) is read as text and handed to the line parser,
+    which returns the same table or raises with the offending line number.
+    A path that is not a regular file, or has a compression suffix, is read
+    as text straight away.
     """
     path = Path(path)
-    text = _read_text(path)
-    if "\r" in text:  # universal newlines, as np.loadtxt reads the file
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    first = re.search(r"^[^\S\n]*[^#\s][^#\n]*", text, re.MULTILINE)  # the first data line, comment cut
-    try:
+    if path.is_file() and path.suffix not in _COMPRESSED_SUFFIXES:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(
-                path,
-                dtype=np.float64,
-                comments="#",
-                delimiter="," if first and "," in first.group() else None,
-                ndmin=2,
-                encoding="utf-8",
-            )
-    except ValueError:
-        table = None
-    if table is None or table.size == 0:
-        return _parse_lines(path, text)
-    return table
+            for delimiter in (None, ","):
+                try:
+                    table = np.loadtxt(
+                        path, np.float64, comments="#", delimiter=delimiter, ndmin=2, encoding="utf-8"
+                    )
+                except (OSError, ValueError):  # a bad byte is a UnicodeDecodeError
+                    continue
+                if table.size:
+                    return table
+    text = _read_text(path).replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
+    return _parse_lines(path, text)
 
 
 def load_columns(path, cols: Sequence[int]) -> np.ndarray:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -36,8 +35,6 @@ __all__ = [
     "NoiseKind",
     "NoiseSpec",
     "CellTally",
-    "SimGridResult",
-    "SineResult",
     "NoiseBoundCheck",
     "GRID_INPUTS",
     "GRID_MECHANISMS",
@@ -285,17 +282,12 @@ SINE_INPUTS: tuple = (
 )
 
 
-@dataclass(frozen=True)
-class SimGridResult:
-    cells: dict
-
-
 # Values per scoring block: 64 KiB of float64, below glibc's 128 KiB mmap threshold,
 # so block arrays reuse heap memory and peak RSS stays where per-pair scoring left it.
 _BLOCK_VALUES = 8192
 
 
-def _run_cells(cells, draw, m, repetitions, estimator, reference, seed) -> list:
+def _run_cells(cells, draw, m, repetitions, estimator, reference, seed) -> dict:
     """Score `repetitions` draws per cell and tally the calls against x -> y.
 
     cells holds (label, path, spec) triples; repetition rep of a cell draws
@@ -304,8 +296,8 @@ def _run_cells(cells, draw, m, repetitions, estimator, reference, seed) -> list:
     generator of streams, the substream of the block's i-th repetition, and
     returns the block's y. Every row scores exactly as its pair would alone.
     Estimator errors inside a repetition are tallied as undecided. Cells run
-    on forked workers, one per available CPU. Returns (label, CellTally)
-    pairs in cell order.
+    on forked workers, one per available CPU. Returns {label: CellTally} in
+    cell order.
     """
     if m < 3:
         raise DataError(f"m must be at least 3, got {m}")
@@ -330,7 +322,7 @@ def _run_cells(cells, draw, m, repetitions, estimator, reference, seed) -> list:
                 tally.undecided += direction is Direction.UNDECIDED
         return label, tally
 
-    return fan_out(run_cell, cells)
+    return dict(fan_out(run_cell, cells))
 
 
 def run_grid(
@@ -340,8 +332,8 @@ def run_grid(
     estimator: EstimatorKind = EstimatorKind.ENTROPY_SPACING,
     reference: ReferenceFamily = ReferenceFamily.UNIFORM_UNIT,
     seed: int = 0,
-) -> SimGridResult:
-    """Run the full 5 x 5 input-by-mechanism benchmark.
+) -> dict:
+    """Run the full 5 x 5 input-by-mechanism benchmark: {(row, col): CellTally}.
 
     Ground truth is x -> y everywhere. Mixture-of-CDF mechanism parameters
     are redrawn for every repetition; the per-repetition draw order is
@@ -370,16 +362,7 @@ def run_grid(
         for i, (row_label, dist) in enumerate(GRID_INPUTS)
         for j, (col_label, col_kind) in enumerate(GRID_MECHANISMS)
     ]
-    return SimGridResult(cells=dict(_run_cells(cells, draw, m, repetitions, estimator, reference, seed)))
-
-
-@dataclass(frozen=True)
-class SineResult:
-    entries: tuple
-
-    @property
-    def mean_accuracy_pct(self) -> float:
-        return float(np.mean([tally.accuracy_pct for _, tally in self.entries]))
+    return _run_cells(cells, draw, m, repetitions, estimator, reference, seed)
 
 
 def run_sine(
@@ -390,8 +373,8 @@ def run_sine(
     estimator: EstimatorKind = EstimatorKind.ENTROPY_SPACING,
     reference: ReferenceFamily = ReferenceFamily.UNIFORM_UNIT,
     seed: int = 0,
-) -> SineResult:
-    """Score y = x + epsilon * sin(omega * x) across the SINE_INPUTS distributions.
+) -> dict:
+    """Score y = x + epsilon * sin(omega * x) per SINE_INPUTS label: {label: CellTally}.
 
     The flutter keeps the map strictly increasing as long as
     epsilon * omega < 1, which is enforced. Inputs are drawn without
@@ -409,7 +392,7 @@ def run_sine(
         return x + epsilon * np.sin(omega * x)
 
     cells = [(label, (i,), dist) for i, (label, dist) in enumerate(SINE_INPUTS)]
-    return SineResult(entries=tuple(_run_cells(cells, draw, m, repetitions, estimator, reference, seed)))
+    return _run_cells(cells, draw, m, repetitions, estimator, reference, seed)
 
 
 # Bins of the kernel density grid in estimate_fisher_information.
@@ -463,6 +446,8 @@ def estimate_fisher_information(values) -> float:
 
 # Slack on the noise bound for the error of the spacing entropy estimates.
 _NOISE_BOUND_TOL = 0.05
+# Noise variances sigma that verify_noise_bound checks, in order.
+_SIGMA_LEVELS = (0.01, 0.1, 1.0)
 
 
 @dataclass(frozen=True)
@@ -476,26 +461,20 @@ class NoiseBoundCheck:
     holds: bool
 
 
-def verify_noise_bound(
-    x,
-    sigma_levels: Sequence[float] = (0.01, 0.1, 1.0),
-    rng_seed: int = 0,
-) -> list:
+def verify_noise_bound(x, rng_seed: int = 0) -> list:
     """Check S(x + sqrt(sigma) Z) <= S(x) + 0.5 * log(sigma * J(x) + 1).
 
     Entropies are spacing estimates, J(x) is the plug-in Fisher information.
     The bound is tight when x itself is Gaussian, so the reported gap (bound
     minus noisy entropy) doubles as a tightness probe. holds allows
-    _NOISE_BOUND_TOL of slack for estimation error.
+    _NOISE_BOUND_TOL of slack for estimation error. Returns one check per
+    sigma of 0.01, 0.1 and 1.0.
     """
     arr = _as_finite_vector(x, "x")
     base = spacing_entropy(arr)
     info = estimate_fisher_information(arr)
     checks = []
-    for idx, sigma in enumerate(sigma_levels):
-        sigma = float(sigma)
-        if not 0.0 < sigma < math.inf:
-            raise DomainError(f"sigma levels must be positive and finite, got {sigma!r}")
+    for idx, sigma in enumerate(_SIGMA_LEVELS):
         rng = substream(rng_seed, idx)
         noisy = arr + math.sqrt(sigma) * rng.standard_normal(arr.size)
         noisy_entropy = spacing_entropy(noisy)

@@ -1,3 +1,4 @@
+import gzip
 import warnings
 from pathlib import Path
 
@@ -101,7 +102,9 @@ def _table_texts(draw):
         lines.append(header)
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(
-            st.sampled_from(["row"] * 6 + ["comment", "blank", "ragged", "odd", "mixed", "noted", "gap"])
+            st.sampled_from(
+                ["row"] * 6 + ["comment", "blank", "ragged", "odd", "mixed", "noted", "gap", "trailing"]
+            )
         )
         if kind == "comment":
             lines.append(draw(st.sampled_from(["# note", "  # x, y", "#", "## a # b"])))
@@ -111,6 +114,9 @@ def _table_texts(draw):
             tokens = draw(st.lists(_NUMBER_TOKENS, min_size=width, max_size=width))
             tokens.insert(draw(st.integers(0, width - 1)), "")
             lines.append(draw(st.sampled_from([",", ", "])).join(tokens))
+        elif kind == "trailing":  # a comma row ending in a comma, '1,' at width 1
+            tokens = draw(st.lists(_NUMBER_TOKENS, min_size=width, max_size=width))
+            lines.append(draw(st.sampled_from([",", ", "])).join(tokens) + ",")
         else:
             n = draw(st.integers(1, 5)) if kind == "ragged" else width
             tokens = draw(st.lists(_NUMBER_TOKENS, min_size=n, max_size=n))
@@ -136,6 +142,38 @@ def test_load_table_comment_commas_keep_the_whitespace_fast_path(tmp_path, monke
 
     monkeypatch.setattr(igci.io, "_parse_lines", refuse)
     assert np.array_equal(load_table(headed), expected)
+
+
+def test_load_table_fast_path_reads_the_file_once(tmp_path, monkeypatch):
+    rows = [[float(i), i / 8.0, -i * 1e3] for i in range(40)]
+    texts = {
+        "tab.tsv": "".join(f"{a}\t{b}\t{c}\n" for a, b, c in rows),
+        "space.txt": "".join(f"{a} {b}  {c}\n" for a, b, c in rows),
+        "comma.csv": "".join(f"{a},{b}, {c}\n" for a, b, c in rows),
+        "crlf.tsv": "".join(f"{a}\t{b}\t{c}\r\n" for a, b, c in rows),
+        "headed.txt": "# x, x/8, -1000 x\n" + "".join(f"{a} {b} {c}\n" for a, b, c in rows),
+    }
+
+    def refuse(path):
+        raise AssertionError("the file was read a second time")
+
+    monkeypatch.setattr(igci.io, "_read_text", refuse)
+    for name, text in texts.items():
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        assert load_table(path).tolist() == rows, name
+
+
+def test_load_table_compression_suffix_is_plain_text(tmp_path):
+    plain = tmp_path / "plain.gz"
+    plain.write_text("1 2\n3 4\n")
+    assert load_table(plain).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    packed = tmp_path / "packed.tsv.gz"
+    packed.write_bytes(gzip.compress(b"1 2\n3 4\n"))
+    with pytest.raises(DataError, match=r"packed.tsv.gz:1: not UTF-8 text \(byte 0x8b at offset 1\)"):
+        load_table(packed)
+    with pytest.raises(DataError, match="No such file or directory"):
+        load_table(tmp_path / "packed.tsv")  # not its compressed sibling
 
 
 def _outcome(fn, *args):

@@ -47,9 +47,6 @@ def test_every_public_name_has_a_caller_outside_tests():
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    # standardize_gaussian is the Gaussian counterpart of normalize_uniform,
-    # and frozen hand-computed values in test_core pin its numerics.
-    used.add("standardize_gaussian")
     names = (m.name for m in pkgutil.iter_modules(igci.__path__) if m.name != "__main__")
     uncalled = [n for name in names for n in importlib.import_module(f"igci.{name}").__all__ if n not in used]
     assert uncalled == []
