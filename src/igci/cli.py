@@ -21,6 +21,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from .core import MultiSample, ReferenceFamily, kl_additivity_gap
 from .errors import DataError, DomainError, IgciError
 from .estimators import EstimatorKind, igci_score
@@ -247,7 +249,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_tracedir(args) -> int:
     x_cols = _parse_cols(args.x_cols, "--x-cols")
     y_cols = _parse_cols(args.y_cols, "--y-cols")
-    table = load_columns(args.file, x_cols + y_cols)
+    # One column-major copy, so the parsed table is freed; the fit's rounding follows the layout.
+    table = np.transpose(load_columns(args.file, x_cols + y_cols))
     x = MultiSample(table[:, : len(x_cols)])
     y = MultiSample(table[:, len(x_cols) :])
     result = infer_linear_direction(x, y, refit_reverse=args.refit_reverse)
@@ -267,7 +270,7 @@ def _cmd_tracedir(args) -> int:
 def _cmd_align(args) -> int:
     if args.max_lag is not None and args.max_lag < 0:
         raise _UsageError(f"--max-lag must be nonnegative, got {args.max_lag}")
-    a, b = load_columns(args.file, (args.x_col, args.y_col)).T
+    a, b = load_columns(args.file, (args.x_col, args.y_col))
     max_lag = args.max_lag if args.max_lag is not None else max(1, min(a.size, b.size) // 10)
     alignment = align_lag(a, b, max_lag)
     if abs(alignment.correlation) < LOW_CORRELATION_WARN:

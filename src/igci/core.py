@@ -139,18 +139,21 @@ def _one_row(stack_fn, *args):
 def _map_rows(errors: dict, values: np.ndarray, reference: ReferenceFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(values - shift) / scale for each row of an (n, m) stack, with shift, scale
     = min, max - min for the uniform reference and mean, population std for the
-    Gaussian one. Returns (mapped, shift, scale)."""
+    Gaussian one. Returns (mapped, shift, scale); mapped is one fresh array and
+    values is never written."""
     lo, hi = values.min(axis=1), values.max(axis=1)
     if reference is ReferenceFamily.UNIFORM_UNIT:
         shift, scale, least = lo, hi - lo, 0.0
-        mapped = (values - shift[:, None]) / scale[:, None]
+        mapped = values - shift[:, None]
+        mapped /= scale[:, None]
     else:
         # Moments of values / 2**e, 2**e just above the largest |value|: exact, so normal
         # data maps bit for bit, and no square over- or underflows. A subnormal std lost digits.
         e = np.frexp(np.maximum(-lo, hi))[1][:, None]
-        scaled = np.ldexp(values, -e)
-        centre, spread = scaled.mean(axis=1, keepdims=True), scaled.std(axis=1, keepdims=True)
-        mapped = (scaled - centre) / spread
+        mapped = np.ldexp(values, -e)
+        centre, spread = mapped.mean(axis=1, keepdims=True), mapped.std(axis=1, keepdims=True)
+        mapped -= centre
+        mapped /= spread
         shift, scale, least = np.ldexp(centre, e)[:, 0], np.ldexp(spread, e)[:, 0], _FLOAT_TINY
     for i in np.flatnonzero(hi == lo).tolist():
         errors.setdefault(i, ConstantInputError("all values identical, the reference mapping is undefined"))

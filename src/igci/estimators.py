@@ -65,9 +65,10 @@ class IgciReport:
 
 
 def _mean_logs(values: np.ndarray, keep: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Mean of log(values) over each row's keep entries, kept of them. A row
-    that drops entries averages them compressed, which rounds as a 1-D mean does."""
-    logs = np.log(values)
+    """Mean of log(values) over each row's keep entries, kept of them, taking the
+    logs in place in values. A row that drops entries averages them compressed,
+    which rounds as a 1-D mean does."""
+    logs = np.log(values, out=values)
     means = logs.mean(axis=1)
     for i in np.flatnonzero(kept < values.shape[1]).tolist():
         means[i] = logs[i][keep[i]].mean() if kept[i] else np.nan
@@ -75,8 +76,10 @@ def _mean_logs(values: np.ndarray, keep: np.ndarray, kept: np.ndarray) -> np.nda
 
 
 def _spacing_stat(errors: dict, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of an (n, m) stack: (entropy estimate, number of retained spacings)."""
-    spacings = np.diff(np.sort(values, axis=1), axis=1)
+    """Per row of an (n, m) stack, which it sorts in place: (entropy estimate,
+    number of retained spacings)."""
+    values.sort(axis=1)
+    spacings = np.diff(values, axis=1)
     positive = spacings > 0.0
     kept = np.count_nonzero(positive, axis=1)
     for i in np.flatnonzero(kept == 0).tolist():
@@ -93,7 +96,7 @@ def _spacing_stat(errors: dict, values: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def spacing_entropy(values) -> float:
     """Differential entropy estimate from consecutive order-statistic gaps."""
-    arr = _as_finite_vector(values, "values")
+    arr = _as_finite_vector(np.array(values, dtype=np.float64), "values")  # one copy, sorted in place
     if arr.size < 2:
         raise DataError(f"need at least 2 values, got {arr.size}")
     return float(_one_row(_spacing_stat, arr[None])[0][0])
@@ -110,7 +113,9 @@ def _sorted_diffs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     # tied values are equal, so dx stands.
     for i in np.flatnonzero((dx == 0.0).any(axis=1)).tolist():
         flat[i] = np.lexsort((y[i], x[i])) + i * m
-    return dx, np.diff(np.take(y, flat), axis=1)
+    y_sorted = np.take(y, flat)
+    del flat  # the order is spent; drop it before the second diff allocates
+    return dx, np.diff(y_sorted, axis=1)
 
 
 def _slope_stat(errors: dict, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +123,8 @@ def _slope_stat(errors: dict, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarra
     (mean log |dy/dx|, retained count)."""
     keep = (dx != 0.0) & (dy != 0.0)
     kept = np.count_nonzero(keep, axis=1)
-    stat = _mean_logs(np.abs(dy / dx), keep, kept)
+    slopes = np.divide(dy, dx)
+    stat = _mean_logs(np.abs(slopes, out=slopes), keep, kept)
     for i in np.flatnonzero(kept == 0).tolist():
         errors.setdefault(i, DataError("every consecutive pair had a zero difference"))
     for i in np.flatnonzero(~np.isfinite(stat) & (kept > 0)).tolist():
@@ -137,6 +143,8 @@ def _backward_diffs(x: np.ndarray, y: np.ndarray, dx: np.ndarray, dy: np.ndarray
     up = (dy > 0.0).all(axis=1)
     if up.all():
         return dy, dx
+    if not up.any():  # no row to reuse: sort the stacks themselves, not copies of their rows
+        return _sorted_diffs(y, x)
     back_dx, back_dy = np.empty_like(dy), np.empty_like(dx)
     back_dx[up], back_dy[up] = dy[up], dx[up]
     rest = np.flatnonzero(~up)
@@ -162,13 +170,19 @@ def slope_criterion(x, y) -> float:
 def _score_stack(errors: dict, x: np.ndarray, y: np.ndarray, reference: ReferenceFamily, estimator: EstimatorKind):
     """(c_xy, m_used) of each row pair of two (n, m) stacks, as igci_score
     scores one pair. A row's error is the first of x preprocessing, y
-    preprocessing, the x side and the y side; its c_xy and m_used are void."""
+    preprocessing, the x side and the y side; its c_xy and m_used are void.
+    x and y are never written."""
     with np.errstate(all="ignore"):
-        x, y = _map_rows(errors, x, reference)[0], _map_rows(errors, y, reference)[0]
         if estimator is EstimatorKind.ENTROPY_SPACING:
-            s_x, kept_x = _spacing_stat(errors, x)
-            s_y, kept_y = _spacing_stat(errors, y)
+            # One side at a time, so only one mapped stack and its spacings are
+            # alive; side errors rank after both preprocessing errors.
+            sides = {}
+            s_x, kept_x = _spacing_stat(sides, _map_rows(errors, x, reference)[0])
+            s_y, kept_y = _spacing_stat(sides, _map_rows(errors, y, reference)[0])
+            for i, exc in sides.items():
+                errors.setdefault(i, exc)
             return s_y - s_x, np.minimum(kept_x, kept_y) + 1
+        x, y = _map_rows(errors, x, reference)[0], _map_rows(errors, y, reference)[0]
         dx, dy = _sorted_diffs(x, y)
         forward, kept_f = _slope_stat(errors, dx, dy)
         backward, kept_b = _slope_stat(errors, *_backward_diffs(x, y, dx, dy))

@@ -1,9 +1,10 @@
 """File formats, lag alignment, and manifest evaluation.
 
-Data files are plain UTF-8 text: one row per observation, columns
-separated by whitespace or commas. Two rules shape every table: '#' starts
-a comment that runs to the end of its line, and a comma-separated line has
-no empty field before its last value (a trailing comma is accepted).
+Data files are plain UTF-8 text, with or without a leading byte-order mark:
+one row per observation, columns separated by whitespace or commas. Two
+rules shape every table: '#' starts a comment that runs to the end of its
+line, and a comma-separated line has no empty field before its last value (a
+trailing comma is accepted).
 Manifests are CSV with columns id, path, x_col, y_col, truth, weight (the
 last two optional); paths are resolved relative to the manifest's
 directory.
@@ -44,6 +45,9 @@ __all__ = [
 ]
 
 
+_BOM = "\ufeff"  # UTF-8's optional byte-order mark, as spreadsheet CSV exports write it
+
+
 def _tokenize(line: str) -> list:
     """Fields of a stripped data line. Trailing commas end it; any other
     empty comma field stays, as '', for float() to reject."""
@@ -67,10 +71,11 @@ def _read_text(path: Path) -> str:
 
 
 def _parse_lines(path: Path, text: str) -> np.ndarray:
-    """Line-by-line reader, and the only source of the line-numbered errors."""
+    """Line-by-line reader, and the only source of the line-numbered errors.
+    A leading byte-order mark is skipped, as np.loadtxt's utf-8-sig skips it."""
     rows = []
     width = None
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(text.removeprefix(_BOM).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -115,7 +120,7 @@ def load_table(path) -> np.ndarray:
             for delimiter in (None, ","):
                 try:
                     table = np.loadtxt(
-                        path, np.float64, comments="#", delimiter=delimiter, ndmin=2, encoding="utf-8"
+                        path, np.float64, comments="#", delimiter=delimiter, ndmin=2, encoding="utf-8-sig"
                     )
                 except (OSError, ValueError):  # a bad byte is a UnicodeDecodeError
                     continue
@@ -125,8 +130,9 @@ def load_table(path) -> np.ndarray:
     return _parse_lines(path, text)
 
 
-def load_columns(path, cols: Sequence[int]) -> np.ndarray:
-    """Read a table and return the chosen columns, in the order given.
+def load_columns(path, cols: Sequence[int]) -> tuple:
+    """Read a table and return the chosen columns, in the order given, as
+    1-D views of the one parsed table: nothing is copied.
 
     Raises DataError naming the first column the rows do not have.
     """
@@ -135,7 +141,7 @@ def load_columns(path, cols: Sequence[int]) -> np.ndarray:
     for col in cols:
         if not 0 <= col < ncols:
             raise DataError(f"{path}: column {col} not present (rows have {ncols} columns)")
-    return table[:, list(cols)]
+    return tuple(table[:, col] for col in cols)
 
 
 def load_pair(path, x_col: int = 0, y_col: int = 1) -> SamplePair:
@@ -145,8 +151,9 @@ def load_pair(path, x_col: int = 0, y_col: int = 1) -> SamplePair:
     single warning reports how many. Raises DataError when a column is
     missing or fewer than 3 usable rows remain.
     """
-    x, y = load_columns(path, (x_col, y_col)).T
-    keep = np.isfinite(x) & np.isfinite(y)
+    x, y = load_columns(path, (x_col, y_col))
+    keep = np.isfinite(x)
+    keep &= np.isfinite(y)
     dropped = int(keep.size - np.count_nonzero(keep))
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} rows with non-finite values", stacklevel=2)
@@ -302,7 +309,7 @@ def load_manifest(path) -> tuple:
     """Parse a manifest CSV into a tuple of ManifestEntry, in file order."""
     path = Path(path)
     entries = []
-    handle = io.StringIO(_read_text(path), newline="")
+    handle = io.StringIO(_read_text(path).removeprefix(_BOM), newline="")
     lines = [ln for ln in handle if ln.strip() and not ln.lstrip().startswith("#")]
     for lineno, row in enumerate(csv.reader(lines), start=1):
         row = [field.strip() for field in row]

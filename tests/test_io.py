@@ -176,6 +176,29 @@ def test_load_table_compression_suffix_is_plain_text(tmp_path):
         load_table(tmp_path / "packed.tsv")  # not its compressed sibling
 
 
+_BOM = "\ufeff".encode("utf-8")  # as Excel's "CSV UTF-8" export starts a file
+
+
+def test_load_table_skips_a_leading_byte_order_mark(tmp_path, monkeypatch):
+    rows = [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]
+    trailing = tmp_path / "trailing.csv"  # np.loadtxt refuses trailing commas: the line parser reads it
+    trailing.write_bytes(_BOM + b"0.1,0.2,\n0.3,0.4,\n0.5,0.6,\n")
+    assert load_table(trailing).tolist() == rows
+    latin = tmp_path / "latin.tsv"
+    latin.write_bytes(_BOM + b"1 2\n3 \xff4\n")
+    with pytest.raises(DataError, match=r":2: not UTF-8 text \(byte 0xff at offset 9\)"):
+        load_table(latin)  # the offset counts the mark's three bytes
+
+    def refuse(path):
+        raise AssertionError("np.loadtxt did not read the file")
+
+    monkeypatch.setattr(igci.io, "_read_text", refuse)
+    for name, sep in (("tab.tsv", b"\t"), ("comma.csv", b",")):
+        path = tmp_path / name
+        path.write_bytes(_BOM + b"".join(b"%r%s%r\n" % (a, sep, b) for a, b in rows))
+        assert load_table(path).tolist() == rows, name
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -451,6 +474,13 @@ def test_readme_manifest_example_loads(tmp_path):
     assert first.path == (tmp_path / "data" / "pair01.tsv").resolve()
     assert (first.x_col, first.y_col, first.truth, first.weight) == (0, 1, Direction.X_TO_Y, 1.0)
     assert (second.truth, second.weight) == (Direction.Y_TO_X, 2.0)
+
+
+def test_load_manifest_skips_a_leading_byte_order_mark(tmp_path):
+    _write_pair_file(tmp_path / "p1.tsv", 107)
+    (tmp_path / "m.csv").write_bytes(_BOM + b"p1, p1.tsv, 0, 1, x->y\n")
+    (entry,) = load_manifest(tmp_path / "m.csv")
+    assert entry.entry_id == "p1" and entry.truth is Direction.X_TO_Y
 
 
 def test_load_manifest_empty(tmp_path):
