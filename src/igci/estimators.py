@@ -64,6 +64,22 @@ class IgciReport:
     m_used: int
 
 
+# Columns per step of _diff_in_place. numpy copies an input that overlaps its output
+# but is not the output, so each step copies its own columns of every row. The saving
+# over np.diff appears only past this many differences: a smaller stack is one step,
+# and that step copies the whole stack once.
+_DIFF_COLUMNS = 4096
+
+
+def _diff_in_place(values: np.ndarray) -> np.ndarray:
+    """np.diff(values, axis=1), written over values[:, 1:] and returned as that view.
+    Steps run last columns first, so each reads its left neighbour before it is written."""
+    for stop in range(values.shape[1], 1, -_DIFF_COLUMNS):
+        start = max(stop - _DIFF_COLUMNS, 1)
+        np.subtract(values[:, start:stop], values[:, start - 1:stop - 1], out=values[:, start:stop])
+    return values[:, 1:]
+
+
 def _mean_logs(values: np.ndarray, keep: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Mean of log(values) over each row's keep entries, kept of them, taking the
     logs in place in values. A row that drops entries averages them compressed,
@@ -76,10 +92,11 @@ def _mean_logs(values: np.ndarray, keep: np.ndarray, kept: np.ndarray) -> np.nda
 
 
 def _spacing_stat(errors: dict, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of an (n, m) stack, which it sorts in place: (entropy estimate,
+    """Per row of an (n, m) stack, which it sorts and overwrites: (entropy estimate,
     number of retained spacings)."""
     values.sort(axis=1)
-    spacings = np.diff(values, axis=1)
+    lo, hi = values[:, 0].copy(), values[:, -1].copy()  # for the overflow message
+    spacings = _diff_in_place(values)
     positive = spacings > 0.0
     kept = np.count_nonzero(positive, axis=1)
     for i in np.flatnonzero(kept == 0).tolist():
@@ -90,7 +107,7 @@ def _spacing_stat(errors: dict, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     for i in np.flatnonzero(~np.isfinite(stat) & (kept > 0)).tolist():
         errors.setdefault(i, DataError(
             "spacing entropy is not finite: a gap between neighbouring sorted values "
-            f"overflows float64; the values range from {float(values[i].min())!r} to {float(values[i].max())!r}"))
+            f"overflows float64; the values range from {float(lo[i])!r} to {float(hi[i])!r}"))
     return stat, kept
 
 
@@ -102,28 +119,28 @@ def spacing_entropy(values) -> float:
     return float(_one_row(_spacing_stat, arr[None])[0][0])
 
 
-def _sorted_diffs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of two (n, m) stacks: the consecutive differences of x and of y
-    along the x order, with ties in x broken by ascending y."""
-    m = x.shape[1]
-    flat = np.argsort(x, axis=1)
-    flat += np.arange(0, x.size, m)[:, None]  # flat indices into the stack
-    dx = np.diff(np.take(x, flat), axis=1)
-    # Tied x must be ordered by ascending y, which argsort does not promise;
-    # tied values are equal, so dx stands.
-    for i in np.flatnonzero((dx == 0.0).any(axis=1)).tolist():
-        flat[i] = np.lexsort((y[i], x[i])) + i * m
-    y_sorted = np.take(y, flat)
-    del flat  # the order is spent; drop it before the second diff allocates
-    return dx, np.diff(y_sorted, axis=1)
+def _sort_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sort each row of an (n, m) stack a in place and return b's rows taken in
+    that order, a fresh stack: the pairs (a[i, j], b[i, j]) by ascending a, with
+    ties in a broken by ascending b. b is never written."""
+    order = np.argsort(a, axis=1)
+    order += np.arange(0, a.size, a.shape[1])[:, None]  # flat indices into the stack
+    np.take(a, order, out=a)  # through a copy of a, freed before b is taken
+    b = np.take(b, order)
+    del order
+    # Tied a must be ordered by ascending b, which argsort does not promise.
+    for i in np.flatnonzero((a[:, 1:] == a[:, :-1]).any(axis=1)).tolist():
+        b[i] = b[i][np.lexsort((b[i], a[i]))]
+    return b
 
 
-def _slope_stat(errors: dict, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _slope_stat(errors: dict, dx: np.ndarray, dy: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of two (n, m - 1) stacks of differences along sorted x:
-    (mean log |dy/dx|, retained count)."""
-    keep = (dx != 0.0) & (dy != 0.0)
+    (mean log |dy/dx|, retained count). The slopes are taken into out, which may be dy."""
+    keep = dx != 0.0
+    np.logical_and(keep, dy, out=keep)  # dy != 0.0, cast a block at a time: no second mask
     kept = np.count_nonzero(keep, axis=1)
-    slopes = np.divide(dy, dx)
+    slopes = np.divide(dy, dx, out=out)
     stat = _mean_logs(np.abs(slopes, out=slopes), keep, kept)
     for i in np.flatnonzero(kept == 0).tolist():
         errors.setdefault(i, DataError("every consecutive pair had a zero difference"))
@@ -134,22 +151,11 @@ def _slope_stat(errors: dict, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarra
     return stat, kept
 
 
-def _backward_diffs(x: np.ndarray, y: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_sorted_diffs(y, x) given the forward differences dx, dy along sorted x.
-
-    Where y strictly increases along the forward order, that order sorts y
-    and the differences swap roles. Only the other rows are sorted again.
-    """
-    up = (dy > 0.0).all(axis=1)
-    if up.all():
-        return dy, dx
-    if not up.any():  # no row to reuse: sort the stacks themselves, not copies of their rows
-        return _sorted_diffs(y, x)
-    back_dx, back_dy = np.empty_like(dy), np.empty_like(dx)
-    back_dx[up], back_dy[up] = dy[up], dx[up]
-    rest = np.flatnonzero(~up)
-    back_dx[rest], back_dy[rest] = _sorted_diffs(y[rest], x[rest])
-    return back_dx, back_dy
+def _sorted_slope_stat(errors: dict, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_slope_stat along sorted x of two (n, m) stacks. x is sorted and overwritten;
+    y is never written."""
+    dy = _diff_in_place(_sort_pairs(x, y))
+    return _slope_stat(errors, _diff_in_place(x), dy, dy)
 
 
 def slope_criterion(x, y) -> float:
@@ -158,13 +164,36 @@ def slope_criterion(x, y) -> float:
     Pairs where either difference is exactly zero are skipped and the
     average is taken over the remaining pairs only.
     """
-    xa = _as_finite_vector(x, "x")
+    xa = _as_finite_vector(np.array(x, dtype=np.float64), "x")  # one copy, sorted in place
     ya = _as_finite_vector(y, "y")
     if xa.size != ya.size:
         raise DataError(f"x has {xa.size} rows, y has {ya.size}")
     if xa.size < 2:
         raise DataError(f"need at least 2 paired rows, got {xa.size}")
-    return float(_one_row(lambda errors: _slope_stat(errors, *_sorted_diffs(xa[None], ya[None])))[0][0])
+    return float(_one_row(_sorted_slope_stat, xa[None], ya[None])[0][0])
+
+
+def _slope_sides(errors: dict, x: np.ndarray, y: np.ndarray, reference: ReferenceFamily) -> tuple[np.ndarray, ...]:
+    """(forward, kept_f, backward, kept_b): _slope_stat of each row pair of two
+    (n, m) stacks, mapped onto reference, along sorted x and along sorted y. The
+    stacks are mapped here, so this frame holds the only reference to each array
+    and can drop it once it is spent."""
+    x = _map_rows(errors, x, reference)[0]
+    y = _sort_pairs(x, _map_rows(errors, y, reference)[0])
+    dy = np.diff(y, axis=1)
+    if (dy > 0.0).all():
+        # y rises along x in every row, so the x order sorts y too and the
+        # differences swap roles. The slopes get a buffer of their own, since
+        # log|dx/dy| and -log|dy/dx| can differ in the last bit.
+        del y
+        dx = _diff_in_place(x)
+        slopes = np.empty_like(dx)
+        return *_slope_stat(errors, dx, dy, slopes), *_slope_stat(errors, dy, dx, slopes)
+    # The pairs are sorted again by y, so the forward x differences are fresh
+    # too, and both are dropped before that sort.
+    forward = _slope_stat(errors, np.diff(x, axis=1), dy, dy)
+    del dy
+    return *forward, *_sorted_slope_stat(errors, y, x)
 
 
 def _score_stack(errors: dict, x: np.ndarray, y: np.ndarray, reference: ReferenceFamily, estimator: EstimatorKind):
@@ -174,18 +203,15 @@ def _score_stack(errors: dict, x: np.ndarray, y: np.ndarray, reference: Referenc
     x and y are never written."""
     with np.errstate(all="ignore"):
         if estimator is EstimatorKind.ENTROPY_SPACING:
-            # One side at a time, so only one mapped stack and its spacings are
-            # alive; side errors rank after both preprocessing errors.
+            # One side at a time, so only one mapped stack is alive; side
+            # errors rank after both preprocessing errors.
             sides = {}
             s_x, kept_x = _spacing_stat(sides, _map_rows(errors, x, reference)[0])
             s_y, kept_y = _spacing_stat(sides, _map_rows(errors, y, reference)[0])
             for i, exc in sides.items():
                 errors.setdefault(i, exc)
             return s_y - s_x, np.minimum(kept_x, kept_y) + 1
-        x, y = _map_rows(errors, x, reference)[0], _map_rows(errors, y, reference)[0]
-        dx, dy = _sorted_diffs(x, y)
-        forward, kept_f = _slope_stat(errors, dx, dy)
-        backward, kept_b = _slope_stat(errors, *_backward_diffs(x, y, dx, dy))
+        forward, kept_f, backward, kept_b = _slope_sides(errors, x, y, reference)
         # Half the difference: the reverse term compensates the divergence
         # both terms share once noise makes the relation non-functional.
         return (forward - backward) / 2.0, np.minimum(kept_f, kept_b) + 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -137,6 +138,29 @@ def test_infer_gaussian_subnormal_range_is_a_data_error(capsys, tmp_path):
         "igci: data error: value range 0.0 to 2e-323 overflows or underflows float64 "
         "in the gaussian reference mapping\n"
     )
+
+
+# sha256 of `igci infer noisy.tsv --estimator E --reference R` stdout on the
+# seeded 2e4-row pair below. y does not rise along x, so the slope route sorts
+# the pair a second time, and each sample spans several of the in-place
+# difference steps.
+_NOISY_INFER_SHA256 = {
+    ("entropy", "uniform"): "7b2b9dfc4b659600bf925aa8ce1c33629e24f2608acc91e507b9f802870774fa",
+    ("entropy", "gaussian"): "680f647b851ffcaaa9470d1ff6a674fa38f3491a5175ac6ccd9d01864a706157",
+    ("slope", "uniform"): "1d17220b4b59d26772c45ee66d8ba1d00c22b5f29b88818d3e93561b0ae6da89",
+    ("slope", "gaussian"): "5a55a624f0f6e0690918ce182277650163f7bde5b23d00aae0221d671585ef69",
+}
+
+
+@pytest.mark.parametrize("estimator, reference", list(_NOISY_INFER_SHA256))
+def test_infer_stdout_on_a_noisy_pair_matches_its_digest(capsys, tmp_path, estimator, reference):
+    rng = substream(205)
+    x = rng.random(20_000)
+    path = tmp_path / "noisy.tsv"
+    np.savetxt(path, np.column_stack([x, np.sqrt(x) + 0.1 * rng.standard_normal(20_000)]), fmt="%.17g", delimiter="\t")
+    code, out, _ = run_cli(capsys, "infer", str(path), "--estimator", estimator, "--reference", reference)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == _NOISY_INFER_SHA256[estimator, reference]
 
 
 # ----------------------------------------------------------------------- usage

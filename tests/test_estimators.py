@@ -22,7 +22,7 @@ from igci import (
     spacing_entropy,
     standardize_gaussian,
 )
-from igci.estimators import _backward_diffs, _score_stack, _sorted_diffs
+from igci.estimators import _DIFF_COLUMNS, _score_stack, _sort_pairs
 from igci.simulation import substream
 
 ENTROPY = EstimatorKind.ENTROPY_SPACING
@@ -230,20 +230,29 @@ def test_igci_score_slope_names_a_subnormal_spacing(swap):
             igci_score(pair, estimator=SLOPE)
 
 
-def test_backward_diffs_reuse_the_forward_order():
+def test_rising_rows_score_alike_in_a_rising_and_in_a_mixed_stack():
+    # A stack whose rows all rise along x reuses the forward differences for the
+    # backward side; a stack with any other row sorts every row again by y.
     rng = substream(34)
     x = rng.random((5, 40))
     x[1] = np.arange(40) // 4  # tied x; y increases along the order that breaks ties by y
     y = np.array([np.sqrt(x[0]), np.arange(40.0), 1.0 - x[2] ** 3, x[3] + 0.3 * rng.standard_normal(40), np.round(x[4], 1)])
-    dx, dy = _sorted_diffs(x, y)
-    assert [(d > 0).all() for d in dy] == [True, True, False, False, False]
-    assert [(d < 0).all() for d in dy] == [False, False, True, False, False]
-    want_dx, want_dy = _sorted_diffs(y, x)
-    got_dx, got_dy = _backward_diffs(x, y, dx, dy)
-    assert np.array_equal(got_dx, want_dx) and np.array_equal(got_dy, want_dy)
-    assert got_dx.flags.c_contiguous and got_dy.flags.c_contiguous
-    # the decreasing row's reversed differences, negated, are the backward ones
-    assert np.array_equal(got_dx[2], -dy[2, ::-1])
+    a = x.copy()
+    b = _sort_pairs(a, y)
+    for i in range(5):
+        order = np.lexsort((y[i], x[i]))
+        assert np.array_equal(a[i], x[i][order]) and np.array_equal(b[i], y[i][order])
+    assert [(np.diff(row) > 0).all() for row in b] == [True, True, False, False, False]
+    # y falls along x in row 2, so sorting the pairs by y reverses the x order:
+    # each side's differences are the other order's, reversed and negated
+    back_y = y.copy()
+    back_x = _sort_pairs(back_y, x)
+    assert np.array_equal(np.diff(back_y[2]), -np.diff(b[2])[::-1])
+    assert np.array_equal(np.diff(back_x[2]), -np.diff(a[2])[::-1])
+    for reference in (UNIFORM, GAUSSIAN):
+        rising = _score_stack({}, x[:2], y[:2], reference, SLOPE)
+        mixed = _score_stack({}, x, y, reference, SLOPE)
+        assert all(np.array_equal(r, m[:2]) for r, m in zip(rising, mixed))
 
 
 def test_igci_score_constant_variable():
@@ -431,3 +440,39 @@ def test_stack_kernel_matches_one_pair_path(m, kinds, seed, reference, estimator
         assert got_error == want_error
         if want_error is None:
             assert np.array_equal(got, want) and type(got) is type(want)
+
+
+# Sample sizes whose m - 1 differences fall one short of, on, one past and a few
+# past two of _diff_in_place's column steps; the hypothesis sizes stay in one step.
+_STEP_SIZES = [_DIFF_COLUMNS, _DIFF_COLUMNS + 1, _DIFF_COLUMNS + 2, 2 * _DIFF_COLUMNS + 4]
+
+
+def _score_rows(x, y, reference, estimator):
+    """(c_xy, m_used, errors) of _score_stack, with warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        errors = {}
+        return (*_score_stack(errors, x, y, reference, estimator), errors)
+
+
+@pytest.mark.parametrize("m", _STEP_SIZES)
+@pytest.mark.parametrize("reference", [UNIFORM, GAUSSIAN])
+@pytest.mark.parametrize("estimator", [ENTROPY, SLOPE])
+def test_stack_kernel_matches_one_pair_path_across_difference_steps(m, reference, estimator):
+    rng = substream(37, m)
+    rows = [_kernel_row(kind, m, rng) for kind in ("continuous", "ties_y", "noisy", "decreasing", "huge_range")]
+    mixed = _score_rows(np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), reference, estimator)
+    for i, (xi, yi) in enumerate(rows):
+        want, want_error = _outcome(_oracle_score, xi, yi, reference, estimator)
+        alone = _score_rows(xi[None], yi[None], reference, estimator)  # a rising row alone reuses its order
+        for (c_xy, m_used, errors), row in ((mixed, i), (alone, 0)):
+            assert ((type(errors[row]), str(errors[row])) if row in errors else None) == want_error
+            if want_error is None:
+                assert (c_xy[row], m_used[row]) == want
+        for public, oracle, args in (
+            (spacing_entropy, lambda v: _oracle_spacing_stat(v)[0], (xi,)),
+            (spacing_entropy, lambda v: _oracle_spacing_stat(v)[0], (yi,)),
+            (slope_criterion, lambda a, b: _oracle_slope_stat(a, b)[0], (xi, yi)),
+            (slope_criterion, lambda a, b: _oracle_slope_stat(a, b)[0], (yi, xi)),
+        ):
+            assert _outcome(public, *args) == _outcome(oracle, *args)

@@ -124,20 +124,22 @@ def _pair(shape: str) -> SamplePair:
     return SamplePair(x, np.cbrt(x) if shape == "rising" else x + 0.3 * rng.standard_normal(_M))
 
 
-# The entropy route maps, sorts and reduces one side at a time: a mapped
-# sample and its spacings. The slope route holds both mapped samples and
-# their differences along sorted x; a pair that does not rise along the
-# forward order is sorted once more for the backward side. The slope
-# bounds sit just above the values reached, 5.13 and 7.13.
+# The entropy route maps, sorts and reduces one side at a time, writing the
+# spacings over the sorted sample; the Gaussian mapping's std takes a second
+# buffer. The slope route peaks at four while it takes y in x order beside
+# both mapped samples and the order. A pair that does not rise along x keeps
+# its x-ordered pairs beside their fresh differences for the forward side,
+# then drops the differences and sorts the pairs again by y. Each bound sits
+# just above the value reached: 1.21, 2.00, 4.00 (rising) and 4.21 (noisy).
 _SCORE_BOUNDS = [
-    (UNIFORM, ENTROPY, "rising", 2.5),
-    (GAUSSIAN, ENTROPY, "rising", 2.5),
-    (UNIFORM, ENTROPY, "noisy", 2.5),
-    (GAUSSIAN, ENTROPY, "noisy", 2.5),
-    (UNIFORM, SLOPE, "rising", 5.25),
-    (GAUSSIAN, SLOPE, "rising", 5.25),
-    (UNIFORM, SLOPE, "noisy", 7.25),
-    (GAUSSIAN, SLOPE, "noisy", 7.25),
+    (UNIFORM, ENTROPY, "rising", 1.25),
+    (GAUSSIAN, ENTROPY, "rising", 2.05),
+    (UNIFORM, ENTROPY, "noisy", 1.25),
+    (GAUSSIAN, ENTROPY, "noisy", 2.05),
+    (UNIFORM, SLOPE, "rising", 4.25),
+    (GAUSSIAN, SLOPE, "rising", 4.25),
+    (UNIFORM, SLOPE, "noisy", 4.25),
+    (GAUSSIAN, SLOPE, "noisy", 4.25),
 ]
 
 
@@ -145,6 +147,15 @@ _SCORE_BOUNDS = [
 def test_scoring_holds_a_bounded_number_of_sample_buffers(reference, estimator, shape, bound):
     pair = _pair(shape)
     assert _peak_buffers(igci_score, pair, reference, estimator) <= bound
+
+
+# spacing_entropy copies its sample and works in place: 1.21 buffers.
+# slope_criterion copies x and takes y in x order, then works in place: 3.00.
+@pytest.mark.parametrize("shape", ["rising", "noisy"])
+def test_public_statistics_hold_a_bounded_number_of_sample_buffers(shape):
+    pair = _pair(shape)
+    assert _peak_buffers(spacing_entropy, pair.y) <= 1.25
+    assert _peak_buffers(slope_criterion, pair.x, pair.y) <= 3.05
 
 
 def test_load_pair_returns_views_of_the_one_table(tmp_path):

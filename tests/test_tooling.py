@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -56,6 +57,15 @@ def test_every_error_class_is_documented_in_the_readme():
     # An error class is kept only as a documented contract; other failures raise their family.
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert [name for name in igci.errors.__all__ if f"`{name}`" not in readme] == []
+
+
+def test_readme_names_the_runtime_dependencies_of_pyproject():
+    # README's Install sentence is the user's list of what igci needs at run time.
+    sentence = re.search(r"runtime dependenc(?:y is|ies are) ([^.]+)\.", (ROOT / "README.md").read_text(encoding="utf-8"))
+    named = set(re.split(r",\s*(?:and\s+)?|\s+and\s+", sentence.group(1)))
+    table = re.search(r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M | re.S)
+    required = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in re.findall(r'"([^"]+)"', table.group(1))}
+    assert named == required
 
 
 def test_package_exports_exactly_the_module_lists():
