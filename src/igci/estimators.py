@@ -80,15 +80,21 @@ def _diff_in_place(values: np.ndarray) -> np.ndarray:
     return values[:, 1:]
 
 
-def _mean_logs(values: np.ndarray, keep: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Mean of log(values) over each row's keep entries, kept of them, taking the
-    logs in place in values. A row that drops entries averages them compressed,
-    which rounds as a 1-D mean does."""
+def _mean_logs(errors: dict, values: np.ndarray, keep: np.ndarray, empty, overflow) -> tuple[np.ndarray, np.ndarray]:
+    """(mean log, kept count) over each row's keep entries of an (n, k) stack, taking
+    the logs in place in values. Only a row that drops entries is counted, alone, as
+    numpy sums a mask along an axis through a 64 KiB casting buffer; it is averaged
+    compressed, which rounds as a 1-D mean does. Row i records empty() if it keeps
+    nothing, and overflow(i) if its mean is not finite."""
+    kept = np.full(len(keep), keep.shape[1])
     logs = np.log(values, out=values)
     means = logs.mean(axis=1)
-    for i in np.flatnonzero(kept < values.shape[1]).tolist():
+    for i in np.flatnonzero(~keep.all(axis=1)).tolist():
+        kept[i] = np.count_nonzero(keep[i])
         means[i] = logs[i][keep[i]].mean() if kept[i] else np.nan
-    return means
+    for i in np.flatnonzero(~np.isfinite(means)).tolist():  # an empty row's mean is NaN
+        errors.setdefault(i, overflow(i) if kept[i] else empty())
+    return means, kept
 
 
 def _spacing_stat(errors: dict, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,18 +103,15 @@ def _spacing_stat(errors: dict, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     values.sort(axis=1)
     lo, hi = values[:, 0].copy(), values[:, -1].copy()  # for the overflow message
     spacings = _diff_in_place(values)
-    positive = spacings > 0.0
-    kept = np.count_nonzero(positive, axis=1)
-    for i in np.flatnonzero(kept == 0).tolist():
-        errors.setdefault(i, ConstantInputError("every value is identical"))
     # Zero spacings are dropped and the divisor shrinks with them; the
     # digamma terms keep the full sample size.
-    stat = digamma(values.shape[1]) - digamma(1.0) + _mean_logs(spacings, positive, kept)
-    for i in np.flatnonzero(~np.isfinite(stat) & (kept > 0)).tolist():
-        errors.setdefault(i, DataError(
+    means, kept = _mean_logs(
+        errors, spacings, spacings > 0.0,
+        lambda: ConstantInputError("every value is identical"),
+        lambda i: DataError(
             "spacing entropy is not finite: a gap between neighbouring sorted values "
             f"overflows float64; the values range from {float(lo[i])!r} to {float(hi[i])!r}"))
-    return stat, kept
+    return digamma(values.shape[1]) - digamma(1.0) + means, kept
 
 
 def spacing_entropy(values) -> float:
@@ -139,16 +142,12 @@ def _slope_stat(errors: dict, dx: np.ndarray, dy: np.ndarray, out: np.ndarray) -
     (mean log |dy/dx|, retained count). The slopes are taken into out, which may be dy."""
     keep = dx != 0.0
     np.logical_and(keep, dy, out=keep)  # dy != 0.0, cast a block at a time: no second mask
-    kept = np.count_nonzero(keep, axis=1)
-    slopes = np.divide(dy, dx, out=out)
-    stat = _mean_logs(np.abs(slopes, out=slopes), keep, kept)
-    for i in np.flatnonzero(kept == 0).tolist():
-        errors.setdefault(i, DataError("every consecutive pair had a zero difference"))
-    for i in np.flatnonzero(~np.isfinite(stat) & (kept > 0)).tolist():
-        errors.setdefault(i, DataError(
+    return _mean_logs(
+        errors, np.abs(np.divide(dy, dx, out=out), out=out), keep,
+        lambda: DataError("every consecutive pair had a zero difference"),
+        lambda i: DataError(
             "mean log slope is not finite: dy/dx leaves the float range; the smallest "
             f"spacing between sorted values is {float(np.min(dx[i][keep[i]]))!r}"))
-    return stat, kept
 
 
 def _sorted_slope_stat(errors: dict, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -130,16 +130,18 @@ def _pair(shape: str) -> SamplePair:
 # both mapped samples and the order. A pair that does not rise along x keeps
 # its x-ordered pairs beside their fresh differences for the forward side,
 # then drops the differences and sorts the pairs again by y. Each bound sits
-# just above the value reached: 1.21, 2.00, 4.00 (rising) and 4.21 (noisy).
+# just above the value reached: 1.13 (uniform entropy: the sample and its
+# one-byte keep mask), 2.00 (Gaussian entropy), 4.00 (rising slope) and 4.14
+# (noisy slope).
 _SCORE_BOUNDS = [
-    (UNIFORM, ENTROPY, "rising", 1.25),
+    (UNIFORM, ENTROPY, "rising", 1.15),
     (GAUSSIAN, ENTROPY, "rising", 2.05),
-    (UNIFORM, ENTROPY, "noisy", 1.25),
+    (UNIFORM, ENTROPY, "noisy", 1.15),
     (GAUSSIAN, ENTROPY, "noisy", 2.05),
-    (UNIFORM, SLOPE, "rising", 4.25),
-    (GAUSSIAN, SLOPE, "rising", 4.25),
-    (UNIFORM, SLOPE, "noisy", 4.25),
-    (GAUSSIAN, SLOPE, "noisy", 4.25),
+    (UNIFORM, SLOPE, "rising", 4.05),
+    (GAUSSIAN, SLOPE, "rising", 4.05),
+    (UNIFORM, SLOPE, "noisy", 4.15),
+    (GAUSSIAN, SLOPE, "noisy", 4.15),
 ]
 
 
@@ -149,12 +151,12 @@ def test_scoring_holds_a_bounded_number_of_sample_buffers(reference, estimator, 
     assert _peak_buffers(igci_score, pair, reference, estimator) <= bound
 
 
-# spacing_entropy copies its sample and works in place: 1.21 buffers.
+# spacing_entropy copies its sample and works in place: 1.13 buffers.
 # slope_criterion copies x and takes y in x order, then works in place: 3.00.
 @pytest.mark.parametrize("shape", ["rising", "noisy"])
 def test_public_statistics_hold_a_bounded_number_of_sample_buffers(shape):
     pair = _pair(shape)
-    assert _peak_buffers(spacing_entropy, pair.y) <= 1.25
+    assert _peak_buffers(spacing_entropy, pair.y) <= 1.15
     assert _peak_buffers(slope_criterion, pair.x, pair.y) <= 3.05
 
 
