@@ -324,7 +324,7 @@ def _cmd_verify(args) -> int:
     if args.check in ("noise-bound", "all"):
         for idx, (label, dist) in enumerate(_VERIFY_INPUTS):
             x = sample_input(dist, args.m, substream(seed, 1 + idx), truncate=False)
-            for check in verify_noise_bound(x, rng_seed=seed + 7919 * (idx + 1)):
+            for check in verify_noise_bound(x, seed, 1 + idx):
                 failed |= not check.holds
                 records.append(
                     {

@@ -461,21 +461,22 @@ class NoiseBoundCheck:
     holds: bool
 
 
-def verify_noise_bound(x, rng_seed: int = 0) -> list:
+def verify_noise_bound(x, rng_seed: int = 0, *path: int) -> list:
     """Check S(x + sqrt(sigma) Z) <= S(x) + 0.5 * log(sigma * J(x) + 1).
 
     Entropies are spacing estimates, J(x) is the plug-in Fisher information.
     The bound is tight when x itself is Gaussian, so the reported gap (bound
     minus noisy entropy) doubles as a tightness probe. holds allows
     _NOISE_BOUND_TOL of slack for estimation error. Returns one check per
-    sigma of 0.01, 0.1 and 1.0.
+    sigma of 0.01, 0.1 and 1.0; the noise Z of the j-th sigma is drawn from
+    substream(rng_seed, *path, j).
     """
     arr = _as_finite_vector(x, "x")
     base = spacing_entropy(arr)
     info = estimate_fisher_information(arr)
     checks = []
-    for idx, sigma in enumerate(_SIGMA_LEVELS):
-        rng = substream(rng_seed, idx)
+    for j, sigma in enumerate(_SIGMA_LEVELS):
+        rng = substream(rng_seed, *path, j)
         noisy = arr + math.sqrt(sigma) * rng.standard_normal(arr.size)
         noisy_entropy = spacing_entropy(noisy)
         bound = base + 0.5 * math.log(sigma * info + 1.0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import igci.cli
+import igci.simulation
 from igci import SamplePair, write_pair
 from igci.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from igci.simulation import substream
@@ -619,6 +620,38 @@ def test_verify_failed_check_exits_3_after_its_records(capsys, monkeypatch):
     assert err == "verify: at least one check failed\n"
     (record,) = json_records(out)
     assert record["check"] == "kl-identity" and record["pass"] is False and record["tolerance"] == -1.0
+
+
+def test_verify_draws_every_stream_under_its_own_base_seed(capsys, monkeypatch):
+    # A stream keyed by arithmetic on the base seed is another base seed's stream.
+    keys = {}
+
+    def recording(seed, *path):
+        keys[run_seed].add((seed, *path))
+        return substream(seed, *path)
+
+    monkeypatch.setattr(igci.simulation, "substream", recording)
+    monkeypatch.setattr(igci.cli, "substream", recording)
+    for run_seed in (0, 7919):
+        keys[run_seed] = set()
+        run_cli(capsys, "verify", "--check", "all", "--trials", "2", "--m", "64", "--seed", str(run_seed))
+        assert keys[run_seed] and {key[0] for key in keys[run_seed]} == {run_seed}
+    assert keys[0].isdisjoint(keys[7919])
+
+
+# sha256 of `verify --check kl-identity` stdout: the identity keeps stream (seed, 0).
+_KL_IDENTITY_SHA256 = {
+    0: "ab785df5c84c47f0274df91a2a25e141af4fe8f0ac8aae261d8d9224dd26dca9",
+    1: "4ebe952f3441be12ff3afe20f433b565c031c69a29317ecd160fd30301ab31bd",
+    7919: "ab785df5c84c47f0274df91a2a25e141af4fe8f0ac8aae261d8d9224dd26dca9",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_KL_IDENTITY_SHA256))
+def test_verify_kl_identity_output_is_pinned(capsys, seed):
+    code, out, err = run_cli(capsys, "verify", "--check", "kl-identity", "--seed", str(seed))
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _KL_IDENTITY_SHA256[seed]
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

@@ -90,6 +90,12 @@ def test_normalize_uniform_constant():
         normalize_uniform([2.0, 2.0, 2.0])
 
 
+@pytest.mark.parametrize("mapping", [normalize_uniform, standardize_gaussian])
+def test_reference_mapping_of_an_empty_sample(mapping):
+    with pytest.raises(DataError, match="^cannot map an empty sample onto a reference$"):
+        mapping([])
+
+
 # ----------------------------------------------------------- standardization
 
 def test_standardize_population_convention():
@@ -225,6 +231,11 @@ def test_kl_additivity_gap_zero_when_q_equals_r():
     s /= s.sum()
     a, b = kl_additivity_gap(r, r, s)
     assert abs(a) <= 1e-12 and abs(b) <= 1e-12
+
+
+def test_kl_additivity_gap_support_rule():
+    with pytest.raises(DataError, match="^q, r, s must share one support$"):
+        kl_additivity_gap([0.5, 0.5], [0.5, 0.5], [0.2, 0.3, 0.5])
 
 
 # -------------------------------------------------------------------- types

@@ -73,6 +73,8 @@ def test_spacing_entropy_errors():
         spacing_entropy([3.0, 3.0, 3.0])
     with pytest.raises(DataError, match="need at least 2 values, got 1"):
         spacing_entropy([3.0])
+    with pytest.raises(DataError, match=r"^values must be one-dimensional, got shape \(3, 2\)$"):
+        spacing_entropy(np.ones((3, 2)))
 
 
 def test_spacing_entropy_overflowing_spacing_is_a_data_error():

@@ -489,6 +489,8 @@ def test_load_manifest_empty(tmp_path):
         load_manifest(tmp_path / "m.csv")
     with pytest.raises(DataError, match="No such file or directory"):
         load_manifest(tmp_path / "missing.csv")
+    with pytest.raises(DataError, match="^manifest has no entries$"):
+        evaluate_manifest(())
 
 
 def test_evaluate_manifest_clean_run(tmp_path):

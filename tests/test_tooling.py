@@ -157,6 +157,28 @@ def test_substream_is_the_only_function_that_builds_a_seed_sequence_or_philox():
     assert users == {"simulation.substream"}
 
 
+def test_every_seed_argument_is_a_name_or_an_integer_literal():
+    # A seed computed from another (seed + k) is some other run's base seed, so the two runs
+    # share streams; a new stream extends substream's path instead.
+    computed = []
+    for path in (ROOT / "src" / "igci").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            seeds = [kw.value for kw in node.keywords if kw.arg in ("seed", "rng_seed")]
+            position = {"substream": 0, "verify_noise_bound": 1}.get(name)
+            if position is not None and len(node.args) > position:
+                seeds.append(node.args[position])
+            computed += [
+                f"{path.name}:{seed.lineno}: {ast.unparse(seed)}"
+                for seed in seeds
+                if not isinstance(seed, ast.Name)
+                and not (isinstance(seed, ast.Constant) and type(seed.value) is int)
+            ]
+    assert computed == []
+
+
 def test_output_records_are_built_only_in_the_cli():
     # Every dict display with a "record" key is an output record; their schema lives in one module.
     builders = set()
