@@ -1,4 +1,7 @@
 import gzip
+import json
+import os
+import threading
 import warnings
 from pathlib import Path
 
@@ -24,8 +27,10 @@ from igci import (
     load_table,
     write_pair,
 )
+import igci._fanout
 import igci.io
-from igci.io import _parse_lines
+from igci.cli import main
+from igci.io import _parse_lines, _parse_table
 from igci.simulation import substream
 
 
@@ -221,6 +226,227 @@ def test_load_table_matches_the_line_parser(tmp_path_factory, text):
         assert got.shape == expected.shape
         assert np.array_equal(got, expected, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+# ---------------------------------------------------------- parsed-table cache
+
+def _cache_dir() -> Path:
+    return Path(os.environ["XDG_CACHE_HOME"], "igci", "tables")
+
+
+def _cache_files() -> list:
+    """Names of the kept tables and of any temporary file beside them."""
+    found = _cache_dir().iterdir() if _cache_dir().is_dir() else ()
+    return sorted(p.name for p in found if p.name != igci.io._SEEN)
+
+
+def _entry(path) -> Path:
+    return igci.io._table_entry(_cache_dir(), Path(path))
+
+
+def _keep(path) -> np.ndarray:
+    """Read a file twice: the first read notes it, the second keeps its table."""
+    load_table(path)
+    return load_table(path)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the file was parsed again")
+
+
+def test_load_table_first_read_hashes_nothing_and_keeps_no_copy(tmp_path, monkeypatch):
+    path = tmp_path / "t.tsv"
+    path.write_text("1 2\n3 4\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(igci.io, "_table_entry", _refuse)
+        assert load_table(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert _cache_files() == [] and (_cache_dir() / igci.io._SEEN).is_file()
+    assert load_table(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert _cache_files() == [_entry(path).name]
+
+
+def test_load_table_read_after_the_kept_one_is_the_cached_table(tmp_path, monkeypatch):
+    path = tmp_path / "t.tsv"
+    rows = substream(120).standard_normal((300, 3))
+    rows[0] = [-0.0, 1e-310, 2.0 ** -1074]
+    np.savetxt(path, rows, fmt="%.17g")
+    kept = _keep(path)
+    assert _cache_files() == [_entry(path).name]
+    monkeypatch.setattr(np, "loadtxt", _refuse)
+    monkeypatch.setattr(igci.io, "_parse_lines", _refuse)
+    again = load_table(path)
+    assert again.tobytes() == kept.tobytes() == rows.tobytes()
+    assert again.dtype == np.float64 and again.shape == (300, 3) and again.flags.c_contiguous
+
+
+def test_load_table_files_sharing_a_seen_slot_are_only_parsed_again(tmp_path, monkeypatch):
+    monkeypatch.setattr(igci.io, "_SEEN_SLOTS", 1)
+    paths = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
+    paths[0].write_text("1 2\n")
+    paths[1].write_text("3 4\n5 6\n")
+    for path in paths * 2:  # each read overwrites the one slot: every read is a first
+        assert load_table(path).tolist() == np.loadtxt(path, ndmin=2).tolist()
+    assert _cache_files() == []
+    _keep(paths[1])
+    assert _cache_files() == [_entry(paths[1]).name]
+
+
+def test_load_table_same_size_rewrite_with_its_old_mtime_is_a_miss(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("1 2\n3 4\n")
+    assert _keep(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    stat = path.stat()
+    path.write_text("5 6\n7 8\n")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size and path.stat().st_mtime_ns == stat.st_mtime_ns
+    assert load_table(path).tolist() == [[5.0, 6.0], [7.0, 8.0]]
+    assert len(_cache_files()) == 2
+
+
+@pytest.mark.parametrize("damage", ["truncated", "empty", "float32", "int64", "1-d", "fortran", "object"])
+def test_load_table_replaces_a_bad_cache_entry(tmp_path, monkeypatch, damage):
+    path = tmp_path / "t.tsv"
+    path.write_text("1 2\n3 4\n5 6\n")
+    expected = _keep(path)
+    entry = _entry(path)
+    if damage == "truncated":
+        entry.write_bytes(entry.read_bytes()[:-5])
+    elif damage == "empty":
+        entry.write_bytes(b"")
+    elif damage == "object":
+        np.save(entry, np.array([[1.0, None]], dtype=object), allow_pickle=True)
+    else:
+        np.save(entry, {"float32": expected.astype(np.float32), "int64": expected.astype(np.int64),
+                        "1-d": expected.ravel(), "fortran": np.asfortranarray(expected)}[damage])
+    parsed = []
+    monkeypatch.setattr(igci.io, "_parse_table", lambda p: parsed.append(p) or _parse_table(p))
+    assert load_table(path).tobytes() == expected.tobytes()
+    assert parsed == [path]
+    assert np.load(entry, allow_pickle=False).tobytes() == expected.tobytes()  # overwritten
+
+
+def test_load_table_with_a_file_in_place_of_the_cache_directory(tmp_path):
+    _cache_dir().parent.mkdir(parents=True)
+    _cache_dir().write_text("not a directory")
+    path = tmp_path / "t.tsv"
+    path.write_text("1 2\n3 4\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3):
+            assert load_table(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert _cache_dir().read_text() == "not a directory"
+
+
+def test_load_table_writes_nothing_with_the_cache_home_at_the_null_device(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", os.devnull)
+    path = tmp_path / "t.tsv"
+    path.write_text("1 2\n3 4\n")
+    for _ in range(3):
+        assert load_table(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.tsv"]
+
+
+def test_load_table_skips_a_cache_directory_owned_by_someone_else(tmp_path, monkeypatch):
+    path = tmp_path / "t.tsv"
+    path.write_text("1 2\n3 4\n")
+    monkeypatch.setattr(os, "getuid", lambda: os.stat(tmp_path).st_uid + 1)
+    assert _keep(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert _cache_files() == [] and not (_cache_dir() / igci.io._SEEN).exists()
+
+
+def test_load_table_errors_leave_no_cache_entry(tmp_path):
+    for name, text in (("ragged.tsv", "1 2\n3\n"), ("empty.tsv", "# nothing\n"), ("gap.csv", "1,,2\n")):
+        (tmp_path / name).write_text(text)
+        for _ in range(2):
+            with pytest.raises(DataError):
+                load_table(tmp_path / name)
+    with pytest.raises(DataError):
+        load_table(tmp_path)  # a directory
+    assert _cache_files() == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_load_table_reads_a_named_pipe_once_and_keeps_no_entry(tmp_path):
+    fifo = tmp_path / "pipe.tsv"
+    os.mkfifo(fifo)
+    for _ in range(2):
+        writer = threading.Thread(target=fifo.write_text, args=("1 2\n3 4\n",))
+        writer.start()
+        try:
+            assert load_table(fifo).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+    assert _cache_files() == []
+
+
+def test_load_table_keeps_no_entry_for_a_file_rewritten_while_it_was_read(tmp_path, monkeypatch):
+    # Every rewrite keeps the size and the mtime, so only the bytes tell the texts apart.
+    path = tmp_path / "t.tsv"
+    path.write_text("1 2\n3 4\n")
+    stat = path.stat()
+
+    def rewrite(text):
+        path.write_text(text)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+
+    load_table(path)  # noted, so the next read hashes, parses and tries to keep
+
+    def rewrite_then_parse(p):
+        rewrite("5 6\n7 8\n")  # after hashing, before parsing
+        return _parse_table(p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(igci.io, "_parse_table", rewrite_then_parse)
+        assert load_table(path).tolist() == [[5.0, 6.0], [7.0, 8.0]]
+    assert _cache_files() == []
+    rewrite("1 2\n3 4\n")
+    assert load_table(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_load_table_returns_the_callers_own_array(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("1 2\n3 4\n")
+    for _ in range(4):  # a first read, the one that keeps the table, then two hits
+        table = load_table(path)
+        assert table.flags.writeable and table.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        table[:] = -1.0
+
+
+def test_load_table_cache_drops_the_least_recently_used_entries(tmp_path, monkeypatch):
+    paths = []
+    for i in range(4):
+        paths.append(tmp_path / f"t{i}.tsv")
+        paths[-1].write_text(f"{i} 1\n2 3\n")
+    _keep(paths[0])
+    size = _entry(paths[0]).stat().st_size
+    monkeypatch.setattr(igci.io, "_TABLE_CACHE_BYTES", 3 * size)
+    for path in paths[1:3]:
+        _keep(path)
+    old = _entry(paths[0]).stat().st_mtime_ns - 10**9
+    for i in range(3):  # t0 oldest, then t1, then t2
+        os.utime(_entry(paths[i]), ns=(old + i, old + i))
+    load_table(paths[0])  # a hit makes t0 the most recently used
+    _keep(paths[3])  # the fourth entry leaves room for three
+    assert _cache_files() == sorted(_entry(p).name for p in (paths[0], paths[2], paths[3]))
+    for path in (paths[0], paths[2], paths[3]):
+        os.utime(_entry(path), ns=(old, old))
+    monkeypatch.setattr(igci.io, "_TABLE_CACHE_BYTES", size)
+    load_table(paths[1])  # noted before, so kept again; room for one: the newest
+    assert _cache_files() == [_entry(paths[1]).name]
+
+
+def test_pairs_workers_reading_one_file_leave_one_entry(tmp_path, monkeypatch, capsys):
+    _write_pair_file(tmp_path / "p.tsv", 121)
+    load_table(tmp_path / "p.tsv")  # noted, so every worker hashes it and tries to keep it
+    ids = "abcd"
+    (tmp_path / "m.csv").write_text("".join(f"{i}, p.tsv, 0, 1, x->y\n" for i in ids))
+    monkeypatch.setattr(igci._fanout, "_cpu_count", lambda: len(ids))  # one entry each, more than the cores here
+    assert main(["pairs", str(tmp_path / "m.csv")]) == 0
+    pairs = [json.loads(line) for line in capsys.readouterr().out.splitlines()][1 : 1 + len(ids)]
+    assert [(r["id"], r["error"]) for r in pairs] == [(i, None) for i in ids]
+    assert len({r["c_xy"] for r in pairs}) == 1
+    assert _cache_files() == [_entry(tmp_path / "p.tsv").name]
 
 
 # -------------------------------------------------------------- pair round trip

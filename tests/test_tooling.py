@@ -157,6 +157,24 @@ def test_substream_is_the_only_function_that_builds_a_seed_sequence_or_philox():
     assert users == {"simulation.substream"}
 
 
+def test_text_becomes_a_table_only_in_io():
+    # One module decides what a file's text means, and the cache it keeps is read and written
+    # beside that decision, so a parse rule and the cache format cannot drift apart.
+    callers = {}
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Attribute) and ast.unparse(node) in ("np.loadtxt", "np.load", "np.save"):
+            callers.setdefault(node.attr, set()).add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in (ROOT / "src" / "igci").glob("*.py"):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert callers == {"loadtxt": {"io._parse_table"}, "load": {"io._cached_table"}, "save": {"io._store_table"}}
+
+
 def test_every_seed_argument_is_a_name_or_an_integer_literal():
     # A seed computed from another (seed + k) is some other run's base seed, so the two runs
     # share streams; a new stream extends substream's path instead.
