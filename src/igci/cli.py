@@ -7,14 +7,23 @@ search), verify (numeric identity and noise-bound checks).
 Every output record is built here, from the command's arguments and the
 library's results; igci.io renders them as JSON lines or TSV.
 
-Exit codes: 0 success, 1 usage error, 2 unusable data, 3 numeric failure.
-The base seed comes from --seed, else the IGCI_SEED environment variable,
-else 0.
+Exit codes: 0 success, 1 usage error or output that stdout refused,
+2 unusable data, 3 numeric failure. The base seed comes from --seed, else
+the IGCI_SEED environment variable, else 0.
+
+`python -m igci` and the installed `igci` script call run(), which ends the
+process with os._exit as soon as main's output is flushed: atexit handlers
+still run, but interpreter teardown (module clean-up and a last garbage
+collection) is skipped. Under a tracer or profiler, or when
+main raises, Python exits as usual. main() itself only returns its code, so
+in-process callers keep Python's own exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import errno
 import functools
 import os
 import sys
@@ -48,7 +57,7 @@ from .simulation import (
 )
 from .trace import infer_linear_direction
 
-__all__ = ["main", "EXIT_OK", "EXIT_USAGE", "EXIT_DATA", "EXIT_NUMERIC"]
+__all__ = ["main", "run", "EXIT_OK", "EXIT_USAGE", "EXIT_DATA", "EXIT_NUMERIC"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,7 +71,7 @@ _KL_IDENTITY_TOL = 1e-10
 
 
 class _UsageError(Exception):
-    pass
+    """An exit-1 error: bad usage, or output that stdout refused."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,9 +125,24 @@ def _scoring(args) -> tuple:
     return ReferenceFamily(args.reference), EstimatorKind(args.estimator)
 
 
+def _stdout_refused(exc: OSError) -> str:
+    """Why stdout refused output. Its descriptor then points at os.devnull, so no later
+    flush raises again (the advice of Python's note on SIGPIPE)."""
+    if sys.stdout is not None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return f"cannot write output: {exc.strerror}"
+
+
 def _emit(records, fmt: str) -> None:
     text = format_json_lines(records) if fmt == "json" else format_tsv(records)
-    sys.stdout.write(text)
+    try:
+        if sys.stdout is None:  # descriptor 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.write(text)
+    except OSError as exc:
+        raise _UsageError(_stdout_refused(exc)) from None
 
 
 def _parse_cols(text: str, flag: str) -> list:
@@ -439,5 +463,35 @@ def main(argv=None) -> int:
             return EXIT_NUMERIC
 
 
+def _watched() -> bool:
+    """Whether a tracer, profiler or monitoring tool (Python 3.12+) watches this process."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (
+        sys.gettrace() is not None
+        or sys.getprofile() is not None
+        or (monitoring is not None and any(monitoring.get_tool(i) for i in range(6)))
+    )
+
+
+def run() -> None:
+    """The command line's entry point: main's code becomes the exit status, and the
+    process ends once its output is flushed, without interpreter teardown."""
+    code = main()
+    if type(code) is not int or _watched():
+        raise SystemExit(code)  # Python's own exit, so a profiler still reports
+    atexit._run_exitfuncs()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"igci: error: {_stdout_refused(exc)}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    # Nothing else is pending: fan_out has reaped its workers, and every file
+    # igci writes is closed by `with` or `finally`.
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

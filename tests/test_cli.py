@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -746,3 +748,91 @@ def test_module_entry_point_is_reproducible():
     assert first.returncode == EXIT_OK, first.stderr
     assert first.stdout == second.stdout
     assert first.stdout.count("\n") == 26
+
+
+def _igci(*argv, **kwargs):
+    """A fresh `python -m igci` process, which ends through cli.run."""
+    return subprocess.run([sys.executable, "-m", "igci", *map(str, argv)], **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--help"], EXIT_OK),
+        (["infer", "{cube}"], EXIT_OK),
+        (["frobnicate"], EXIT_USAGE),
+        (["infer", "{absent}"], EXIT_DATA),
+        (["simulate", "--reps", "0"], EXIT_NUMERIC),
+    ],
+)
+def test_a_fresh_process_gives_what_main_gives_in_process(capsys, monkeypatch, tmp_path, cube_file, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    argv = [arg.format(cube=cube_file, absent=tmp_path / "absent.tsv") for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    proc = _igci(*argv, capture_output=True)
+    assert code == expected
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+
+def test_a_fresh_pairs_run_prints_every_entry_and_the_summary(capsys, tmp_path):
+    # Entries run on forked workers; every record must reach stdout before the process ends.
+    lines = []
+    for i in range(7):
+        x = substream(230 + i).random(300)
+        write_pair(tmp_path / f"p{i}.tsv", SamplePair(x, np.cbrt(x)))
+        lines.append(f"p{i}, p{i}.tsv, 0, 1, x->y\n")
+    (tmp_path / "m.csv").write_text("".join(lines))
+    code, out, _ = run_cli(capsys, "pairs", str(tmp_path / "m.csv"))
+    proc = _igci("pairs", tmp_path / "m.csv", capture_output=True, text=True)
+    assert proc.returncode == code == EXIT_OK and proc.stderr == ""
+    assert proc.stdout == out
+    records = json_records(proc.stdout)
+    assert [r["record"] for r in records] == ["config", *["pair"] * 7, "summary"]
+    assert [r["id"] for r in records[1:-1]] == [f"p{i}" for i in range(7)]
+
+
+def test_atexit_handlers_still_run_in_a_fresh_process():
+    script = "import atexit, runpy; atexit.register(print, 'atexit ran'); runpy.run_module('igci', run_name='__main__')"
+    proc = subprocess.run([sys.executable, "-c", script, "--help"], capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    assert proc.stdout.startswith("usage: igci")
+    assert proc.stdout.endswith("\natexit ran\n") and proc.stdout.count("atexit ran") == 1
+
+
+def test_a_profiled_process_exits_normally_and_prints_its_table():
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "igci", "--help"], capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.startswith("usage: igci")
+    assert "function calls" in proc.stdout and "Ordered by" in proc.stdout
+
+
+def _close_stdout():
+    os.close(1)
+
+
+# Unbuffered, the error comes from the write in _emit; buffered, from run's last flush.
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("target", ["closed pipe", "/dev/full", "closed"])
+def test_unwritable_stdout_is_one_error_line(monkeypatch, cube_file, target, unbuffered):
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    if target == "closed":
+        proc = _igci("infer", cube_file, stderr=subprocess.PIPE, text=True, preexec_fn=_close_stdout)
+        cause = errno.EBADF
+    else:
+        if target == "closed pipe":
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+            cause = errno.EPIPE
+        elif not os.path.exists("/dev/full"):
+            pytest.skip("this system has no /dev/full")
+        else:
+            stdout, cause = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+        try:
+            proc = _igci("infer", cube_file, stdout=stdout, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(stdout)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == f"igci: error: cannot write output: {os.strerror(cause)}\n"

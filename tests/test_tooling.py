@@ -207,3 +207,34 @@ def test_output_records_are_built_only_in_the_cli():
             ):
                 builders.add(path.stem)
     assert builders == {"cli"}
+
+
+def test_os_exit_is_called_only_by_a_forked_worker_and_the_command_line_exit():
+    # One fast exit: any other would skip atexit handlers, the output flush or the profiler fallback.
+    callers = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "os._exit":
+            callers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in (ROOT / "src" / "igci").glob("*.py"):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert callers == {"_fanout._fork", "cli.run"}
+
+
+def test_the_installed_script_calls_what_python_m_igci_calls():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    script = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]["igci"]
+    tree = ast.parse((ROOT / "src" / "igci" / "__main__.py").read_text())
+    targets = {
+        alias.asname or alias.name: f"{'igci.' * node.level}{node.module}:{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    (called,) = [node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert script == targets[called]
