@@ -6,14 +6,16 @@ an independent square map with iid normal entries, push m Gaussian samples
 through it, and compare the renormalized-trace gap forwards (true map,
 input covariance) against backwards (inverse map, output covariance). The
 forward gap shrinks with dimension while the backward gap stays put, which
-is exactly what makes the direction readable.
+is exactly what makes the direction readable. The last column counts the
+trials that infer_linear_direction, which fits the map from the same
+samples as `igci tracedir` does, decides as x -> y.
 """
 
 import argparse
 
 import numpy as np
 
-from igci import substream, trace_gap
+from igci import Direction, MultiSample, infer_linear_direction, substream, trace_gap
 
 
 def trial_gaps(seed: int, d: int, m: int, trial: int) -> tuple:
@@ -25,7 +27,8 @@ def trial_gaps(seed: int, d: int, m: int, trial: int) -> tuple:
     y = x @ a.T
     sx = (x - x.mean(axis=0)).T @ (x - x.mean(axis=0)) / m
     sy = (y - y.mean(axis=0)).T @ (y - y.mean(axis=0)) / m
-    return trace_gap(a, sx), trace_gap(np.linalg.inv(a), sy)
+    fitted = infer_linear_direction(MultiSample(x), MultiSample(y)).direction is Direction.X_TO_Y
+    return trace_gap(a, sx), trace_gap(np.linalg.inv(a), sy), fitted
 
 
 def main() -> None:
@@ -38,19 +41,21 @@ def main() -> None:
 
     dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
     print(f"m = {args.m}, trials = {args.trials}, seed = {args.seed}")
-    print(f"{'d':>4}  {'mean |forward|':>15}  {'mean |backward|':>16}  {'forward wins':>13}")
+    print(f"{'d':>4}  {'mean |forward|':>15}  {'mean |backward|':>16}  {'forward wins':>13}  {'fit x->y':>9}")
     for d in dims:
         forward = []
         backward = []
         wins = 0
+        fit_wins = 0
         for trial in range(args.trials):
-            f, b = trial_gaps(args.seed, d, args.m, trial)
+            f, b, fitted = trial_gaps(args.seed, d, args.m, trial)
             forward.append(abs(f))
             backward.append(abs(b))
             wins += abs(f) < abs(b)
+            fit_wins += fitted
         print(
             f"{d:>4}  {np.mean(forward):>15.4f}  {np.mean(backward):>16.4f}"
-            f"  {wins:>9}/{args.trials}"
+            f"  {wins:>9}/{args.trials}  {fit_wins:>5}/{args.trials}"
         )
 
 

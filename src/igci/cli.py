@@ -55,7 +55,7 @@ from .simulation import (
     substream,
     verify_noise_bound,
 )
-from .trace import infer_linear_direction
+from .trace import _infer_in_place
 
 __all__ = ["main", "run", "EXIT_OK", "EXIT_USAGE", "EXIT_DATA", "EXIT_NUMERIC"]
 
@@ -79,6 +79,13 @@ class _Parser(argparse.ArgumentParser):
     # data errors, so remap.
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    # argparse drops a failed write of its help; help is output like any record.
+    def print_help(self, file=None):
+        if file is None:
+            _write(self.format_help())
+        else:
+            super().print_help(file)
 
 
 def _add_scoring_flags(sub: argparse.ArgumentParser) -> None:
@@ -136,7 +143,11 @@ def _stdout_refused(exc: OSError) -> str:
 
 
 def _emit(records, fmt: str) -> None:
-    text = format_json_lines(records) if fmt == "json" else format_tsv(records)
+    _write(format_json_lines(records) if fmt == "json" else format_tsv(records))
+
+
+def _write(text: str) -> None:
+    """text on stdout; a write that stdout refuses becomes a _UsageError."""
     try:
         if sys.stdout is None:  # descriptor 1 was closed when the interpreter started
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
@@ -274,18 +285,20 @@ def _cmd_tracedir(args) -> int:
     x_cols = _parse_cols(args.x_cols, "--x-cols")
     y_cols = _parse_cols(args.y_cols, "--y-cols")
     # One column-major copy, so the parsed table is freed; the fit's rounding follows the layout.
+    # igci owns this copy, so the fit centres and scales it in place instead of copying it again.
     table = np.transpose(load_columns(args.file, x_cols + y_cols))
-    x = MultiSample(table[:, : len(x_cols)])
-    y = MultiSample(table[:, len(x_cols) :])
-    result = infer_linear_direction(x, y, refit_reverse=args.refit_reverse)
+    x, y = table[:, : len(x_cols)], table[:, len(x_cols) :]
+    for side in (x, y):
+        MultiSample(side)  # the checks infer_linear_direction's arguments pass: finite, m > d
+    result = _infer_in_place(x, y, args.refit_reverse)
     record = {
         "record": "tracedir",
         "direction": result.direction.value,
         "gap_xy": result.gap_xy,
         "gap_yx": result.gap_yx,
         "residual_rel": result.residual_rel,
-        "m": x.m,
-        "d": x.d,
+        "m": x.shape[0],
+        "d": x.shape[1],
     }
     _emit([record], args.format)
     return EXIT_OK
@@ -442,16 +455,14 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help exits 0, _Parser.error exits EXIT_USAGE
-        return exc.code
     # Every warning, the library's included, becomes one line on stderr.
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
+            args = build_parser().parse_args(argv)
             return args.func(args)
+        except SystemExit as exc:  # --help exits 0, _Parser.error exits EXIT_USAGE
+            return exc.code
         except _UsageError as exc:
             print(f"igci: error: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -60,11 +60,12 @@ def _as_finite_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-def _unit_scale(arr: np.ndarray) -> np.ndarray:
+def _unit_scale(arr: np.ndarray, out=None) -> np.ndarray:
     """arr / 2**e, with 2**e just above the largest |entry| (arr itself when all are 0).
     Exact unless a result is subnormal, and arr and each power-of-two multiple of it
-    that float64 holds exactly give the same array, bit for bit."""
-    return np.ldexp(arr, -np.frexp(np.abs(arr).max(initial=0.0))[1])
+    that float64 holds exactly give the same array, bit for bit. out=arr scales arr in
+    place, and no |arr| temporary is made."""
+    return np.ldexp(arr, -np.frexp(max(arr.max(initial=0.0), -arr.min(initial=0.0)))[1], out=out)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -105,15 +105,22 @@ def infer_linear_direction(
     leaves float64, and a power-of-two rescaling of either gives the same
     result bit for bit.
     """
-    if x.m != y.m:
-        raise DataError(f"x has {x.m} rows, y has {y.m}")
-    if x.d != y.d:
-        raise DataError(f"x is {x.d}-dimensional, y is {y.d}-dimensional")
-    x_c, y_c = _unit_scale(x.data), _unit_scale(y.data)  # fresh arrays, centred in place
-    x_c -= x_c.mean(axis=0)
-    y_c -= y_c.mean(axis=0)
-    sigma_x = x_c.T @ x_c / x.m
-    sigma_y = y_c.T @ y_c / y.m
+    # The fit works in place, so it gets copies; each keeps its layout, which the rounding follows.
+    return _infer_in_place(x.data.copy(order="K"), y.data.copy(order="K"), refit_reverse)
+
+
+def _infer_in_place(x_c: np.ndarray, y_c: np.ndarray, refit_reverse: bool) -> LinearDirectionResult:
+    """infer_linear_direction on the finite m x d arrays x_c and y_c (m > d), which it overwrites."""
+    (m, d), (m_y, d_y) = x_c.shape, y_c.shape
+    if m != m_y:
+        raise DataError(f"x has {m} rows, y has {m_y}")
+    if d != d_y:
+        raise DataError(f"x is {d}-dimensional, y is {d_y}-dimensional")
+    for v in (x_c, y_c):
+        _unit_scale(v, out=v)
+        v -= v.mean(axis=0)
+    sigma_x = x_c.T @ x_c / m
+    sigma_y = y_c.T @ y_c / m
     a = _fit_map(x_c, y_c)
     if not y_c.any():
         raise ConstantInputError("y is constant")
@@ -121,12 +128,15 @@ def infer_linear_direction(
     # makes the map singular, and can leave the norm of y_c at zero.
     if np.linalg.cond(a) > _MAX_CONDITION:
         raise DataError("fitted map is numerically singular")
-    residual_rel = float(np.linalg.norm(y_c - x_c @ a.T) / np.linalg.norm(y_c))
+    residual = x_c @ a.T
+    np.subtract(y_c, residual, out=residual)
+    residual_rel = float(np.linalg.norm(residual) / np.linalg.norm(y_c))
+    del residual  # gone before the reverse fit, whose LAPACK copies are as large as the data
     if residual_rel > RESIDUAL_WARN_THRESHOLD:
         warnings.warn(
             f"linear fit residual {residual_rel:.3g} exceeds {RESIDUAL_WARN_THRESHOLD}; "
             "the relation may not be linear enough for this method",
-            stacklevel=2,
+            stacklevel=3,  # the caller of infer_linear_direction
         )
     if refit_reverse:
         reverse = _fit_map(y_c, x_c)

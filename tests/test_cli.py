@@ -11,7 +11,7 @@ import pytest
 
 import igci.cli
 import igci.simulation
-from igci import SamplePair, write_pair
+from igci import MultiSample, SamplePair, infer_linear_direction, write_pair
 from igci.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from igci.simulation import substream
 
@@ -477,6 +477,77 @@ def test_tracedir_with_one_column_per_side_is_undecided(capsys, tmp_path):
         assert abs(record["gap_xy"]) <= 1e-15 and abs(record["gap_yx"]) <= 1e-15
 
 
+def _write_table(path, table):
+    path.write_text("".join("\t".join(f"{v:.17g}" for v in row) + "\n" for row in table))
+
+
+@pytest.mark.parametrize("refit_reverse", [False, True])
+@pytest.mark.parametrize("seed, d, noise", [(208, 1, 0.0), (209, 3, 0.0), (210, 4, 0.02), (211, 6, 0.01)])
+def test_tracedir_record_is_the_library_result_bit_for_bit(capsys, tmp_path, seed, d, noise, refit_reverse):
+    # tracedir fits in its own column-major copy of the columns; the library copies its arguments.
+    rng = substream(seed)
+    x = rng.standard_normal((500, d)) @ rng.standard_normal((d, d))
+    y = x @ rng.standard_normal((d, d)).T + noise * rng.standard_normal((500, d))
+    table = np.column_stack([x, y])
+    _write_table(tmp_path / "joint.tsv", table)
+    cols = [",".join(map(str, range(d))), ",".join(map(str, range(d, 2 * d)))]
+    argv = ["tracedir", str(tmp_path / "joint.tsv"), "--x-cols", cols[0], "--y-cols", cols[1]]
+    code, out, err = run_cli(capsys, *argv, *(["--refit-reverse"] if refit_reverse else []))
+    assert code == EXIT_OK and err == ""
+    (record,) = json_records(out)
+    table = np.asfortranarray(table)  # the layout tracedir fits in
+    result = infer_linear_direction(MultiSample(table[:, :d]), MultiSample(table[:, d:]), refit_reverse)
+    assert record["direction"] == result.direction.value
+    assert (record["gap_xy"], record["gap_yx"], record["residual_rel"]) == (
+        result.gap_xy, result.gap_yx, result.residual_rel
+    )
+
+
+def _tracedir_error_tables() -> dict:
+    x = substream(207).standard_normal((100, 2))
+    mixed = np.column_stack([x, x @ np.array([[1.0, 2.0], [0.5, 1.0]])])
+    non_finite = mixed.copy()
+    non_finite[5, 3] = np.inf
+    return {
+        "different widths": mixed,
+        "constant y": np.column_stack([x, np.full(100, 3.0), np.full(100, -1.0)]),
+        "rank deficient": mixed,
+        "numerically singular": np.column_stack([x, x @ np.diag([1.0, 1e-13])]),
+        "non-finite": non_finite,
+    }
+
+
+@pytest.mark.parametrize("refit_reverse", [False, True])
+@pytest.mark.parametrize(
+    "case, x_cols, y_cols, message",
+    [
+        ("different widths", "0,1", "2", "x is 2-dimensional, y is 1-dimensional"),
+        ("constant y", "0,1", "2,3", "y is constant"),
+        ("rank deficient", "0,0", "2,3", "regressor rank 1 < dimension 2"),
+        ("numerically singular", "0,1", "2,3", "fitted map is numerically singular"),
+        ("non-finite", "0,1", "2,3", "data contains non-finite values"),
+    ],
+)
+def test_tracedir_data_errors_keep_their_messages(capsys, tmp_path, case, x_cols, y_cols, message, refit_reverse):
+    _write_table(tmp_path / "joint.tsv", _tracedir_error_tables()[case])
+    argv = ["tracedir", str(tmp_path / "joint.tsv"), "--x-cols", x_cols, "--y-cols", y_cols]
+    code, out, err = run_cli(capsys, *argv, *(["--refit-reverse"] if refit_reverse else []))
+    assert (code, out, err) == (EXIT_DATA, "", f"igci: data error: {message}\n")
+
+
+def test_tracedir_residual_warning_keeps_its_text(capsys, tmp_path):
+    x = substream(212).standard_normal((100, 2))
+    _write_table(tmp_path / "noisy.tsv", np.column_stack([x, x + substream(213).standard_normal((100, 2))]))
+    code, out, err = run_cli(capsys, "tracedir", str(tmp_path / "noisy.tsv"), "--x-cols", "0,1", "--y-cols", "2,3")
+    assert code == EXIT_OK
+    (record,) = json_records(out)
+    assert record["residual_rel"] > 0.05
+    assert err == (
+        f"igci: warning: linear fit residual {record['residual_rel']:.3g} exceeds 0.05; "
+        "the relation may not be linear enough for this method\n"
+    )
+
+
 # ----------------------------------------------------------------------- align
 
 def test_align_finds_lag(capsys, tmp_path):
@@ -810,7 +881,7 @@ def _close_stdout():
     os.close(1)
 
 
-# Unbuffered, the error comes from the write in _emit; buffered, from run's last flush.
+# Unbuffered, the error comes from the write in _emit or in the help; buffered, from run's last flush.
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("target", ["closed pipe", "/dev/full", "closed"])
 def test_unwritable_stdout_is_one_error_line(monkeypatch, cube_file, target, unbuffered):
@@ -818,21 +889,22 @@ def test_unwritable_stdout_is_one_error_line(monkeypatch, cube_file, target, unb
         monkeypatch.setenv("PYTHONUNBUFFERED", "1")
     else:
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
-    if target == "closed":
-        proc = _igci("infer", cube_file, stderr=subprocess.PIPE, text=True, preexec_fn=_close_stdout)
-        cause = errno.EBADF
-    else:
-        if target == "closed pipe":
-            read_end, stdout = os.pipe()
-            os.close(read_end)
-            cause = errno.EPIPE
-        elif not os.path.exists("/dev/full"):
-            pytest.skip("this system has no /dev/full")
+    if target == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("this system has no /dev/full")
+    for argv in (["infer", cube_file], ["--help"], ["infer", "--help"]):
+        if target == "closed":
+            proc = _igci(*argv, stderr=subprocess.PIPE, text=True, preexec_fn=_close_stdout)
+            cause = errno.EBADF
         else:
-            stdout, cause = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
-        try:
-            proc = _igci("infer", cube_file, stdout=stdout, stderr=subprocess.PIPE, text=True)
-        finally:
-            os.close(stdout)
-    assert proc.returncode == EXIT_USAGE
-    assert proc.stderr == f"igci: error: cannot write output: {os.strerror(cause)}\n"
+            if target == "closed pipe":
+                read_end, stdout = os.pipe()
+                os.close(read_end)
+                cause = errno.EPIPE
+            else:
+                stdout, cause = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+            try:
+                proc = _igci(*argv, stdout=stdout, stderr=subprocess.PIPE, text=True)
+            finally:
+                os.close(stdout)
+        assert proc.returncode == EXIT_USAGE, argv
+        assert proc.stderr == f"igci: error: cannot write output: {os.strerror(cause)}\n"

@@ -1,7 +1,8 @@
 """Caller arrays and working memory.
 
-No public numeric function writes to the arrays it is given, and the scalar
-scoring routes and load_pair hold a bounded number of sample-length buffers.
+No public numeric function writes to the arrays it is given, the scalar
+scoring routes and load_pair hold a bounded number of sample-length buffers,
+and the linear fit a bounded share of its input.
 """
 
 import tracemalloc
@@ -33,6 +34,7 @@ from igci import (
     write_pair,
 )
 from igci.simulation import substream
+from igci.trace import _infer_in_place
 
 ENTROPY, SLOPE = EstimatorKind.ENTROPY_SPACING, EstimatorKind.SLOPE_INTEGRAL
 UNIFORM, GAUSSIAN = ReferenceFamily.UNIFORM_UNIT, ReferenceFamily.GAUSSIAN
@@ -165,3 +167,18 @@ def test_load_pair_returns_views_of_the_one_table(tmp_path):
     write_pair(path, _pair("noisy"))
     # The two-column table is two buffers; np.loadtxt's own chunks come on top.
     assert _peak_buffers(load_pair, path) <= 2.5
+
+
+# In input sizes: x and y together are six sample buffers. The in-place fit's one working
+# array is the residual, half its input: 0.51 reached. infer_linear_direction adds its copy of
+# both inputs: 1.51. np.linalg.lstsq copies both sides into buffers LAPACK works in, but those
+# are malloc'ed in numpy's C code outside tracemalloc, so they count here for nothing.
+@pytest.mark.parametrize("refit_reverse", [False, True])
+def test_the_linear_fit_holds_a_bounded_share_of_its_input(refit_reverse):
+    rng = substream(49)
+    x = rng.standard_normal((_M, 3))
+    y = x @ rng.standard_normal((3, 3)).T + 0.01 * rng.standard_normal((_M, 3))
+    table = np.asfortranarray(np.column_stack([x, y]))  # column-major, as `igci tracedir` holds it
+    x, y = table[:, :3], table[:, 3:]
+    assert _peak_buffers(_infer_in_place, x.copy(order="K"), y.copy(order="K"), refit_reverse) / 6 <= 0.55
+    assert _peak_buffers(infer_linear_direction, MultiSample(x), MultiSample(y), refit_reverse) / 6 <= 1.55

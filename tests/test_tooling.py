@@ -238,3 +238,27 @@ def test_the_installed_script_calls_what_python_m_igci_calls():
     }
     (called,) = [node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)]
     assert script == targets[called]
+
+
+def test_the_library_and_tracedir_share_one_fit_path():
+    # lstsq has one caller, reached only through the in-place core; infer_linear_direction only
+    # copies its arguments for that core, so the library and `tracedir` cannot fit in two ways.
+    uses = {}
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Call):
+            uses.setdefault(ast.unparse(node.func), set()).add(owner)
+        elif getattr(node, "attr", getattr(node, "id", None)) == "lstsq":
+            uses.setdefault("lstsq", set()).add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in (ROOT / "src" / "igci").glob("*.py"):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert uses["lstsq"] == {"trace._fit_map"}
+    assert uses["_fit_map"] == {"trace._infer_in_place"}
+    assert uses["_infer_in_place"] == {"trace.infer_linear_direction", "cli._cmd_tracedir"}
+    public = {func for func, owners in uses.items() if "trace.infer_linear_direction" in owners}
+    assert public == {"_infer_in_place", "x.data.copy", "y.data.copy"}

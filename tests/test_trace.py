@@ -166,6 +166,18 @@ def test_infer_linear_direction_residual_warning():
     assert result.residual_rel > 0.05
 
 
+def test_infer_linear_direction_residual_warning_points_at_its_caller():
+    x, y = _linear_case(59, noise=2.0)
+    with pytest.warns(UserWarning) as caught:
+        result = infer_linear_direction(x, y)
+    (warning,) = caught
+    assert str(warning.message) == (
+        f"linear fit residual {result.residual_rel:.3g} exceeds 0.05; "
+        "the relation may not be linear enough for this method"
+    )
+    assert warning.filename == __file__
+
+
 def test_infer_linear_direction_clean_fit_does_not_warn():
     x, y = _linear_case(60)
     with warnings.catch_warnings():
