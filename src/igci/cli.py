@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import MultiSample, ReferenceFamily, kl_additivity_gap
-from .errors import DataError, DomainError, IgciError
+from .errors import DataError, DomainError, IgciError, NumericError
 from .estimators import EstimatorKind, igci_score
 from .io import (
     align_lag,
@@ -130,6 +130,31 @@ def _resolve_seed(args) -> int:
 
 def _scoring(args) -> tuple:
     return ReferenceFamily(args.reference), EstimatorKind(args.estimator)
+
+
+# Flags that only some modes of a command read: dest -> (flag, default, modes).
+# argparse leaves them None, so a flag given to a mode that ignores it is refused.
+_SIMULATE_FLAGS = {
+    "noise": ("--noise", NoiseKind.NONE.value, ("grid",)),
+    "lam": ("--lambda", 0.0, ("grid",)),
+    "laplace_scale": ("--laplace-scale", 0.2, ("grid",)),
+    "epsilon": ("--epsilon", 0.005, ("sine",)),
+    "omega": ("--omega", 40.0, ("sine",)),
+}
+_VERIFY_FLAGS = {
+    "trials": ("--trials", 1000, ("kl-identity", "all")),
+    "m": ("--m", 100_000, ("noise-bound", "all")),
+}
+
+
+def _mode_flags(args, selector: str, mode: str, flags: dict) -> None:
+    """Fill in the defaults of the flags mode reads; any other flag given is a usage error."""
+    for dest, (flag, default, modes) in flags.items():
+        if mode in modes:
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+        elif getattr(args, dest) is not None:
+            raise _UsageError(f"{flag} is not read by {selector} {mode}")
 
 
 def _stdout_refused(exc: OSError) -> str:
@@ -239,6 +264,7 @@ def _cell_record(tally, **labels) -> dict:
 
 
 def _cmd_simulate(args) -> int:
+    _mode_flags(args, "--experiment", args.experiment, _SIMULATE_FLAGS)
     reference, estimator = _scoring(args)
     seed = _resolve_seed(args)
     if args.experiment == "grid":
@@ -334,7 +360,8 @@ _VERIFY_INPUTS = (
 
 
 def _cmd_verify(args) -> int:
-    if args.trials < 1:
+    _mode_flags(args, "--check", args.check, _VERIFY_FLAGS)
+    if args.trials is not None and args.trials < 1:
         raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     seed = _resolve_seed(args)
     records = []
@@ -379,8 +406,7 @@ def _cmd_verify(args) -> int:
                 )
     _emit(records, args.format)
     if failed:
-        print("verify: at least one check failed", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise NumericError("at least one verify check failed")
     return EXIT_OK
 
 
@@ -409,13 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--experiment", choices=["grid", "sine"], default="grid")
     p_sim.add_argument("--m", type=int, default=1000, help="sample size per repetition")
     p_sim.add_argument("--reps", type=int, default=100, help="repetitions per cell")
-    p_sim.add_argument("--lambda", dest="lam", type=float, default=0.0, help="noise multiplier")
-    p_sim.add_argument(
-        "--noise", choices=[n.value for n in NoiseKind], default=NoiseKind.NONE.value
-    )
-    p_sim.add_argument("--laplace-scale", type=float, default=0.2)
-    p_sim.add_argument("--epsilon", type=float, default=0.005, help="sine flutter amplitude")
-    p_sim.add_argument("--omega", type=float, default=40.0, help="sine flutter frequency")
+    p_sim.add_argument("--lambda", dest="lam", type=float, default=None, help="noise multiplier")
+    p_sim.add_argument("--noise", choices=[n.value for n in NoiseKind], default=None)
+    p_sim.add_argument("--laplace-scale", type=float, default=None)
+    p_sim.add_argument("--epsilon", type=float, default=None, help="sine flutter amplitude")
+    p_sim.add_argument("--omega", type=float, default=None, help="sine flutter frequency")
     _add_scoring_flags(p_sim)
     _add_output_flags(p_sim)
     _add_seed_flag(p_sim)
@@ -441,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="numeric identity and noise-bound checks")
     p_verify.add_argument("--check", choices=["kl-identity", "noise-bound", "all"], default="all")
-    p_verify.add_argument("--trials", type=int, default=1000, help="kl-identity random triples")
-    p_verify.add_argument("--m", type=int, default=100_000, help="noise-bound sample size")
+    p_verify.add_argument("--trials", type=int, default=None, help="kl-identity random triples")
+    p_verify.add_argument("--m", type=int, default=None, help="noise-bound sample size")
     _add_output_flags(p_verify)
     _add_seed_flag(p_verify)
     p_verify.set_defaults(func=_cmd_verify)

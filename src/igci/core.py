@@ -116,14 +116,6 @@ class MultiSample:
             )
         object.__setattr__(self, "data", _frozen(arr))
 
-    @property
-    def m(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.data.shape[1]
-
 
 def _one_row(stack_fn, *args):
     """stack_fn(errors, *args) on one-row stacks, raising the row's error.

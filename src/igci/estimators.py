@@ -202,13 +202,11 @@ def _score_stack(errors: dict, x: np.ndarray, y: np.ndarray, reference: Referenc
     x and y are never written."""
     with np.errstate(all="ignore"):
         if estimator is EstimatorKind.ENTROPY_SPACING:
-            # One side at a time, so only one mapped stack is alive; side
-            # errors rank after both preprocessing errors.
-            sides = {}
-            s_x, kept_x = _spacing_stat(sides, _map_rows(errors, x, reference)[0])
-            s_y, kept_y = _spacing_stat(sides, _map_rows(errors, y, reference)[0])
-            for i, exc in sides.items():
-                errors.setdefault(i, exc)
+            # One side at a time, so only one mapped stack is alive. A side fails
+            # only on a constant row or a gap beyond float64, which a row that maps
+            # cleanly cannot have, so no side error comes before a y mapping error.
+            s_x, kept_x = _spacing_stat(errors, _map_rows(errors, x, reference)[0])
+            s_y, kept_y = _spacing_stat(errors, _map_rows(errors, y, reference)[0])
             return s_y - s_x, np.minimum(kept_x, kept_y) + 1
         forward, kept_f, backward, kept_b = _slope_sides(errors, x, y, reference)
         # Half the difference: the reverse term compensates the divergence

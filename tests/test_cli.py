@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -268,6 +269,22 @@ def test_simulate_non_finite_laplace_scale_is_usage(capsys, scale):
     code, out, err = run_cli(capsys, "simulate", "--noise", "laplace", "--lambda", "0.1", "--laplace-scale", scale)
     assert code == EXIT_USAGE and out == ""
     assert err == f"igci: error: laplace_scale must be finite and positive, got {float(scale)!r}\n"
+
+
+@pytest.mark.parametrize(
+    "experiment, flags",
+    [
+        ("sine", ["--laplace-scale", "nan"]),
+        ("sine", ["--noise", "normal", "--lambda", "0.1"]),
+        ("sine", ["--lambda", "0"]),
+        ("grid", ["--epsilon", "1", "--omega", "1"]),
+        ("grid", ["--omega", "40"]),
+    ],
+)
+def test_simulate_flag_of_the_other_experiment_is_usage(capsys, experiment, flags):
+    code, out, err = run_cli(capsys, "simulate", "--experiment", experiment, *flags, "--m", "30", "--reps", "1")
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"igci: error: {flags[0]} is not read by --experiment {experiment}\n"
 
 
 @pytest.mark.parametrize("flutter", [["--epsilon", "nan"], ["--omega", "nan"], ["--epsilon", "0", "--omega", "inf"]])
@@ -690,7 +707,7 @@ def test_verify_failed_check_exits_3_after_its_records(capsys, monkeypatch):
     monkeypatch.setattr(igci.cli, "_KL_IDENTITY_TOL", -1.0)  # no residual is below it
     code, out, err = run_cli(capsys, "verify", "--check", "kl-identity", "--trials", "5", "--seed", "6")
     assert code == EXIT_NUMERIC
-    assert err == "verify: at least one check failed\n"
+    assert err == "igci: numeric error: at least one verify check failed\n"
     (record,) = json_records(out)
     assert record["check"] == "kl-identity" and record["pass"] is False and record["tolerance"] == -1.0
 
@@ -732,6 +749,15 @@ def test_verify_trials_below_one_is_usage(capsys, trials):
     code, out, err = run_cli(capsys, "verify", "--check", "kl-identity", "--trials", trials, "--seed", "6")
     assert code == EXIT_USAGE and out == ""
     assert f"--trials must be at least 1, got {trials}" in err
+
+
+@pytest.mark.parametrize(
+    "check, flag", [("kl-identity", ["--m", "5"]), ("noise-bound", ["--trials", "0"]), ("noise-bound", ["--trials", "5"])]
+)
+def test_verify_flag_its_check_does_not_read_is_usage(capsys, check, flag):
+    code, out, err = run_cli(capsys, "verify", "--check", check, *flag, "--seed", "6")
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"igci: error: {flag[0]} is not read by --check {check}\n"
 
 
 # -------------------------------------------------------------- record schema
@@ -808,6 +834,54 @@ def test_record_schema(capsys, monkeypatch, schema_inputs, kind):
     body = [rec for rec in emitted if rec["record"] != "config"]
     assert [k for k in body[index] if k != "record"] == keys.split()
     assert out.splitlines()[len(comments)] == "\t".join(k for k in body[0] if k != "record")
+
+
+# ---------------------------------------------------------------------- stderr
+
+class _RefusingStdout:
+    """A stdout whose every write fails as a closed pipe's does."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise OSError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def fileno(self):
+        return self._fd
+
+
+def test_every_stderr_line_starts_with_igci(capsys, monkeypatch, tmp_path, cube_file):
+    # One channel: each diagnostic line is `igci: ...`, or argparse's `igci <command>: ...`.
+    (tmp_path / "bad.tsv").write_text("0.1\t0.2\n0.3\tabc\n0.5\t0.6\n")
+    (tmp_path / "flat.tsv").write_text("".join(f"1.0\t{v:.17g}\n" for v in substream(209).random(50)))
+    rng = substream(205)
+    (tmp_path / "noise.tsv").write_text(
+        "".join(f"{u:.17g}\t{v:.17g}\n" for u, v in zip(rng.standard_normal(300), rng.standard_normal(300)))
+    )
+    failing = [
+        ["frobnicate"],
+        ["simulate", "--reps", "x"],
+        ["infer", tmp_path / "absent.tsv"],
+        ["infer", tmp_path / "bad.tsv"],
+        ["infer", tmp_path / "flat.tsv"],
+        ["simulate", "--reps", "0"],
+        ["align", tmp_path / "noise.tsv", "--max-lag", "5"],
+    ]
+    stderr = {" ".join(map(str, argv)): run_cli(capsys, *map(str, argv))[2] for argv in failing}
+    with monkeypatch.context() as patch:
+        patch.setattr(igci.cli, "_KL_IDENTITY_TOL", -1.0)  # no residual is below it
+        stderr["verify"] = run_cli(capsys, "verify", "--check", "kl-identity", "--trials", "5")[2]
+    fd = os.open(os.devnull, os.O_WRONLY)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", _RefusingStdout(fd))
+            stderr["refused"] = run_cli(capsys, "infer", str(cube_file))[2]
+    finally:
+        os.close(fd)
+    for case, err in stderr.items():
+        assert err.endswith("\n"), case
+        assert all(re.match(r"igci( [a-z]+)?: ", line) for line in err.splitlines()), (case, err)
 
 
 # ------------------------------------------------------------------ subprocess

@@ -275,6 +275,6 @@ def test_construction_leaves_callers_arrays_writeable():
 
 def test_multisample_shape_properties():
     sample = MultiSample(np.arange(12.0).reshape(6, 2) ** 1.5)
-    assert sample.m == 6 and sample.d == 2
+    assert sample.data.shape == (6, 2)
     with pytest.raises(DataError, match="data must be m x d"):
         MultiSample(np.arange(5.0))

@@ -22,7 +22,8 @@ from igci import (
     spacing_entropy,
     standardize_gaussian,
 )
-from igci.estimators import _DIFF_COLUMNS, _score_stack, _sort_pairs
+from igci.core import _map_rows
+from igci.estimators import _DIFF_COLUMNS, _score_stack, _sort_pairs, _spacing_stat
 from igci.simulation import substream
 
 ENTROPY = EstimatorKind.ENTROPY_SPACING
@@ -442,6 +443,52 @@ def test_stack_kernel_matches_one_pair_path(m, kinds, seed, reference, estimator
         assert got_error == want_error
         if want_error is None:
             assert np.array_equal(got, want) and type(got) is type(want)
+
+
+_SIDE_KINDS = (
+    "continuous", "scaled_normal", "constant", "tied", "discretised", "one_ulp",
+    "subnormal_spread", "huge_range", "huge_values",
+)
+
+
+def _side_row(kind, m, rng):
+    """One variable's sample: regular, or degenerate for the reference mappings."""
+    v = rng.random(m)
+    if kind == "scaled_normal":
+        return np.ldexp(rng.standard_normal(m), int(rng.integers(-1070, 1021)))  # subnormal to near float64's top
+    if kind == "constant":
+        return np.full(m, 0.25)
+    if kind == "tied":
+        return np.floor(v * 3.0)
+    if kind == "discretised":
+        return np.round(v, 1)
+    if kind == "one_ulp":
+        return np.where(v < 0.5, 1.0, np.nextafter(1.0, 2.0))
+    if kind == "subnormal_spread":
+        return 5e-324 * np.floor(v * 8.0)
+    if kind == "huge_range":
+        v[:2] = (-1e308, 1e308)
+        return v
+    return 1e160 * v if kind == "huge_values" else v
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(2, 300),
+    kinds=st.lists(st.sampled_from(_SIDE_KINDS), min_size=1, max_size=9),
+    seed=st.integers(0, 2**32 - 1),
+    reference=st.sampled_from([UNIFORM, GAUSSIAN]),
+)
+def test_no_spacing_error_follows_a_clean_mapping(m, kinds, seed, reference):
+    # _score_stack's entropy route records x's side errors before y is mapped, in the
+    # same dict; a row's first error stays a mapping error only because of this.
+    rng = np.random.default_rng(seed)
+    values = np.array([_side_row(kind, m, rng) for kind in kinds])
+    mapping, sides = {}, {}
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("error")
+        _spacing_stat(sides, _map_rows(mapping, values, reference)[0])
+    assert sorted(set(sides) - set(mapping)) == []
 
 
 # Sample sizes whose m - 1 differences fall one short of, on, one past and a few
