@@ -8,8 +8,8 @@ Every output record is built here, from the command's arguments and the
 library's results; igci.io renders them as JSON lines or TSV.
 
 Exit codes: 0 success, 1 usage error or output that stdout refused,
-2 unusable data, 3 numeric failure. The base seed comes from --seed, else
-the IGCI_SEED environment variable, else 0.
+2 unusable data, 3 numeric failure. The base seed comes from --seed alone
+(default 0); no environment variable changes a run's output.
 
 `python -m igci` and the installed `igci` script call run(), which ends the
 process with os._exit as soon as main's output is flushed: atexit handlers
@@ -45,6 +45,8 @@ from .io import (
     load_pair,
 )
 from .simulation import (
+    _FISHER_MIN_VALUES,
+    _LAPLACE_SCALE,
     InputDist,
     InputKind,
     NoiseKind,
@@ -108,24 +110,13 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_seed_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="base seed (default: $IGCI_SEED or 0)")
+    sub.add_argument("--seed", type=int, default=0, help="base seed, a nonnegative integer (default: 0)")
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        if args.seed < 0:
-            raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
-        return args.seed
-    env = os.environ.get("IGCI_SEED")
-    if env is None:
-        return 0
-    try:
-        seed = int(env)
-    except ValueError:
-        raise _UsageError(f"IGCI_SEED must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise _UsageError(f"IGCI_SEED must be nonnegative, got {env!r}")
-    return seed
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
+    return args.seed
 
 
 def _scoring(args) -> tuple:
@@ -137,7 +128,6 @@ def _scoring(args) -> tuple:
 _SIMULATE_FLAGS = {
     "noise": ("--noise", NoiseKind.NONE.value, ("grid",)),
     "lam": ("--lambda", 0.0, ("grid",)),
-    "laplace_scale": ("--laplace-scale", 0.2, ("grid",)),
     "epsilon": ("--epsilon", 0.005, ("sine",)),
     "omega": ("--omega", 40.0, ("sine",)),
 }
@@ -269,9 +259,7 @@ def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     if args.experiment == "grid":
         try:
-            noise = NoiseSpec(
-                kind=NoiseKind(args.noise), lam=args.lam, laplace_scale=args.laplace_scale
-            )
+            noise = NoiseSpec(kind=NoiseKind(args.noise), lam=args.lam)
         except DomainError as exc:
             raise _UsageError(str(exc)) from None
         tallies = run_grid(
@@ -287,7 +275,7 @@ def _cmd_simulate(args) -> int:
             "repetitions": args.reps,
             "noise": noise.kind.value,
             "lambda": noise.lam,
-            "laplace_scale": noise.laplace_scale,
+            "laplace_scale": _LAPLACE_SCALE,
         }
         cells = [_cell_record(tally, row=row, col=col) for (row, col), tally in tallies.items()]
     else:
@@ -363,6 +351,8 @@ def _cmd_verify(args) -> int:
     _mode_flags(args, "--check", args.check, _VERIFY_FLAGS)
     if args.trials is not None and args.trials < 1:
         raise _UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.m is not None and args.m < _FISHER_MIN_VALUES:
+        raise _UsageError(f"--m must be at least {_FISHER_MIN_VALUES}, got {args.m}")
     seed = _resolve_seed(args)
     records = []
     failed = False
@@ -437,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, default=100, help="repetitions per cell")
     p_sim.add_argument("--lambda", dest="lam", type=float, default=None, help="noise multiplier")
     p_sim.add_argument("--noise", choices=[n.value for n in NoiseKind], default=None)
-    p_sim.add_argument("--laplace-scale", type=float, default=None)
     p_sim.add_argument("--epsilon", type=float, default=None, help="sine flutter amplitude")
     p_sim.add_argument("--omega", type=float, default=None, help="sine flutter frequency")
     _add_scoring_flags(p_sim)

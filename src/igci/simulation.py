@@ -213,19 +213,21 @@ class NoiseKind(Enum):
     LAPLACE = "laplace"
 
 
+# Scale of the Laplace noise E; lam * E is Laplace(0, lam * _LAPLACE_SCALE).
+_LAPLACE_SCALE = 0.2
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive noise: y = f(x) + lam * E."""
+    """Additive noise: y = f(x) + lam * E, E uniform on [0, 1), standard normal
+    or Laplace(0, 0.2) by kind."""
 
     kind: NoiseKind = NoiseKind.NONE
     lam: float = 0.0
-    laplace_scale: float = 0.2
 
     def __post_init__(self) -> None:
         if self.lam < 0.0 or not math.isfinite(self.lam):
             raise DomainError(f"lam must be finite and nonnegative, got {self.lam!r}")
-        if not 0.0 < self.laplace_scale < math.inf:
-            raise DomainError(f"laplace_scale must be finite and positive, got {self.laplace_scale!r}")
         # A deterministic run is spelled with both fields off, never half.
         if (self.lam == 0.0) != (self.kind is NoiseKind.NONE):
             raise DomainError("lam == 0 exactly when kind is NONE")
@@ -236,7 +238,7 @@ def _sample_noise(noise: NoiseSpec, m: int, rng: np.random.Generator) -> np.ndar
         return rng.random(m)
     if noise.kind is NoiseKind.STD_NORMAL:
         return rng.standard_normal(m)
-    return rng.laplace(0.0, noise.laplace_scale, m)
+    return rng.laplace(0.0, _LAPLACE_SCALE, m)
 
 
 @dataclass
@@ -300,7 +302,7 @@ def _run_cells(cells, draw, m, repetitions, estimator, reference, seed) -> dict:
     cell order.
     """
     if m < 3:
-        raise DataError(f"m must be at least 3, got {m}")
+        raise DomainError(f"m must be at least 3, got {m}")
     if repetitions < 1:
         raise DomainError(f"repetitions must be at least 1, got {repetitions}")
     rows = min(repetitions, max(1, _BLOCK_VALUES // m))
@@ -397,6 +399,8 @@ def run_sine(
 
 # Bins of the kernel density grid in estimate_fisher_information.
 _FISHER_GRID = 4096
+# Fewest values estimate_fisher_information accepts.
+_FISHER_MIN_VALUES = 16
 
 
 def estimate_fisher_information(values) -> float:
@@ -413,8 +417,8 @@ def estimate_fisher_information(values) -> float:
     """
     arr = _as_finite_vector(values, "values")
     m = arr.size
-    if m < 16:
-        raise DataError(f"need at least 16 values, got {m}")
+    if m < _FISHER_MIN_VALUES:
+        raise DataError(f"need at least {_FISHER_MIN_VALUES} values, got {m}")
     z, _, std = standardize_gaussian(arr)
     q25, q75 = np.percentile(z, [25.0, 75.0])
     iqr = float(q75 - q25)

@@ -65,7 +65,6 @@ def readme_inputs(tmp_path, monkeypatch):
     base = np.cumsum(rng.standard_normal(600))
     _write(tmp_path / "series.tsv", np.column_stack([base[7:], base[:-7] + 0.1 * rng.standard_normal(593)]))
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("IGCI_SEED", raising=False)
 
 
 # Small runs of each command in the table; README's own lines are run below.

@@ -239,11 +239,6 @@ def test_noise_spec_validation():
         NoiseSpec(NoiseKind.STD_NORMAL, lam=0.0)
     with pytest.raises(ValueError):
         NoiseSpec(NoiseKind.STD_NORMAL, lam=-0.1)
-    with pytest.raises(ValueError):
-        NoiseSpec(NoiseKind.LAPLACE, lam=0.1, laplace_scale=0.0)
-    for scale in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="laplace_scale must be finite and positive"):
-            NoiseSpec(NoiseKind.LAPLACE, lam=0.1, laplace_scale=scale)
 
 
 def test_spec_argument_errors_are_domain_errors():
@@ -251,7 +246,6 @@ def test_spec_argument_errors_are_domain_errors():
         lambda: InputDist(InputKind.UNIFORM, sigma=0.0),
         lambda: NoiseSpec(NoiseKind.NONE, lam=0.05),
         lambda: NoiseSpec(NoiseKind.STD_NORMAL, lam=-0.1),
-        lambda: NoiseSpec(NoiseKind.LAPLACE, lam=0.1, laplace_scale=math.nan),
     ):
         with pytest.raises(DomainError):
             make()
@@ -368,7 +362,7 @@ def test_one_row_blocks_give_the_same_records(monkeypatch, run):
 
 
 def test_run_grid_validation():
-    with pytest.raises(DataError, match="m must be at least 3, got 2"):
+    with pytest.raises(DomainError, match="m must be at least 3, got 2"):
         run_grid(m=2, repetitions=1)
     with pytest.raises(ValueError):
         run_grid(m=10, repetitions=0)
@@ -440,8 +434,7 @@ _GOLDEN_SIMULATE = {
 
 
 @pytest.mark.parametrize("name", list(_GOLDEN_SIMULATE))
-def test_simulate_records_match_golden_digest(name, capsys, monkeypatch):
-    monkeypatch.delenv("IGCI_SEED", raising=False)
+def test_simulate_records_match_golden_digest(name, capsys):
     argv, digest = _GOLDEN_SIMULATE[name]
     assert main(["simulate", *argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
@@ -481,7 +474,7 @@ def test_run_sine_parameter_guards():
         run_sine(omega=math.nan)
     with pytest.raises(DomainError):
         run_sine(epsilon=0.0, omega=math.inf)
-    with pytest.raises(DataError, match="m must be at least 3, got 2"):
+    with pytest.raises(DomainError, match="m must be at least 3, got 2"):
         run_sine(m=2)
 
 

@@ -197,6 +197,30 @@ def test_every_seed_argument_is_a_name_or_an_integer_literal():
     assert computed == []
 
 
+def test_igci_reads_no_environment_variable_but_the_cache_home():
+    # argv alone decides what a run prints; the environment only says where the table cache lives.
+    keys = set()
+    for path in (ROOT / "src" / "igci").glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                keys.update(f"from os import {a.name}" for a in node.names if a.name in ("environ", "getenv"))
+            if not (isinstance(node, ast.Attribute) and ast.unparse(node) in ("os.environ", "os.getenv")):
+                continue
+            use = parent[node]
+            if isinstance(use, ast.Subscript):  # os.environ[key]
+                key = use.slice
+            elif isinstance(use, ast.Call) and use.args:  # os.getenv(key)
+                key = use.args[0]
+            elif isinstance(use, ast.Attribute) and isinstance(parent[use], ast.Call) and parent[use].args:
+                key = parent[use].args[0]  # os.environ.get(key), os.environ.pop(key)
+            else:
+                key = use  # any other use: reported whole
+            keys.add(key.value if isinstance(key, ast.Constant) else f"{path.name}: {ast.unparse(use)}")
+    assert keys == {"XDG_CACHE_HOME"}
+
+
 def test_output_records_are_built_only_in_the_cli():
     # Every dict display with a "record" key is an output record; their schema lives in one module.
     builders = set()
