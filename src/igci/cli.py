@@ -7,9 +7,10 @@ search), verify (numeric identity and noise-bound checks).
 Every output record is built here, from the command's arguments and the
 library's results; igci.io renders them as JSON lines or TSV.
 
-Exit codes: 0 success, 1 usage error or output that stdout refused,
-2 unusable data, 3 numeric failure. The base seed comes from --seed alone
-(default 0); no environment variable changes a run's output.
+Exit codes: 0 success; 1 usage error (a flag value its parameter refuses,
+the library's DomainError included) or output that stdout refused; 2 unusable
+data; 3 a degenerate computation or a failed verify check. The base seed
+comes from --seed alone (default 0); no environment variable changes a run's output.
 
 `python -m igci` and the installed `igci` script call run(), which ends the
 process with os._exit as soon as main's output is flushed: atexit handlers
@@ -258,10 +259,7 @@ def _cmd_simulate(args) -> int:
     reference, estimator = _scoring(args)
     seed = _resolve_seed(args)
     if args.experiment == "grid":
-        try:
-            noise = NoiseSpec(kind=NoiseKind(args.noise), lam=args.lam)
-        except DomainError as exc:
-            raise _UsageError(str(exc)) from None
+        noise = NoiseSpec(kind=NoiseKind(args.noise), lam=args.lam)
         tallies = run_grid(
             noise=noise,
             m=args.m,
@@ -298,6 +296,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_tracedir(args) -> int:
     x_cols = _parse_cols(args.x_cols, "--x-cols")
     y_cols = _parse_cols(args.y_cols, "--y-cols")
+    shared = [col for col in x_cols if col in y_cols]
+    if shared:  # the fit would map a column onto itself
+        raise _UsageError(f"column {shared[0]} is in both --x-cols and --y-cols")
     # One column-major copy, so the parsed table is freed; the fit's rounding follows the layout.
     # igci owns this copy, so the fit centres and scales it in place instead of copying it again.
     table = np.transpose(load_columns(args.file, x_cols + y_cols))
@@ -319,8 +320,6 @@ def _cmd_tracedir(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    if args.max_lag is not None and args.max_lag < 0:
-        raise _UsageError(f"--max-lag must be nonnegative, got {args.max_lag}")
     a, b = load_columns(args.file, (args.x_col, args.y_col))
     max_lag = args.max_lag if args.max_lag is not None else max(1, min(a.size, b.size) // 10)
     alignment = align_lag(a, b, max_lag)
@@ -476,7 +475,7 @@ def main(argv=None) -> int:
             return args.func(args)
         except SystemExit as exc:  # --help exits 0, _Parser.error exits EXIT_USAGE
             return exc.code
-        except _UsageError as exc:
+        except (_UsageError, DomainError) as exc:  # at the command line every argument is a flag
             print(f"igci: error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except DataError as exc:

@@ -63,7 +63,7 @@ def _read_text(path: Path) -> str:
     try:
         data = path.read_bytes()
     except OSError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        raise DataError(f"{path}: {exc.strerror}") from None  # str(exc) would name the path again
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -543,13 +543,20 @@ def evaluate_manifest(
     return ManifestSummary(reports=tuple(reports), decisions_pct=decisions_pct, accuracy_pct=accuracy_pct)
 
 
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
 def _tsv_cell(value) -> str:
+    """One TSV cell. A string's backslash, tab, LF and CR are written as the
+    escapes \\\\, \\t, \\n and \\r, so no value can break its row."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, str):
+        return value.translate(_TSV_ESCAPES)
     return str(value)
 
 

@@ -73,10 +73,47 @@ def test_infer_tsv_output(capsys, cube_file):
     assert row.split("\t")[0] == "cube.tsv"
 
 
+_TSV_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+
+
+def assert_tsv_holds_the_json_records(tsv: str, json_out: str):
+    # Every row has its header's field count, and each unescaped cell is the JSON value.
+    lines = iter(line.split("\t") for line in tsv.splitlines() if not line.startswith("# "))
+    header = None
+    for record in json_records(json_out):
+        if record["record"] == "config":
+            continue
+        if header is None or set(header) != set(record) - {"record"}:
+            header = next(lines)
+        row = next(lines)
+        assert len(row) == len(header), row
+        for key, cell in zip(header, row):
+            value = re.sub(r"\\(.)", lambda m: _TSV_UNESCAPES[m.group(1)], cell)
+            if isinstance(record[key], str):
+                assert value == record[key]
+            else:
+                assert json.loads(value or "null") == record[key]
+    assert next(lines, None) is None
+
+
+def test_infer_tsv_escapes_an_id_that_would_break_its_row(capsys, cube_file):
+    argv = ["infer", str(cube_file), "--id", "x\ty\nz\\t\r"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "tsv")
+    assert code == EXIT_OK
+    assert out.splitlines()[1].split("\t")[0] == "x\\ty\\nz\\\\t\\r"
+    assert_tsv_holds_the_json_records(out, run_cli(capsys, *argv)[1])
+
+
 def test_infer_missing_file_is_a_data_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "infer", str(tmp_path / "absent.tsv"))
     assert code == EXIT_DATA
     assert out == "" and "data error" in err
+
+
+def test_an_unreadable_file_is_named_once(capsys, tmp_path):
+    path = tmp_path / "absent.tsv"
+    code, out, err = run_cli(capsys, "infer", str(path))
+    assert (code, out, err) == (EXIT_DATA, "", f"igci: data error: {path}: No such file or directory\n")
 
 
 def test_infer_constant_column_is_a_data_error(capsys, tmp_path):
@@ -245,8 +282,8 @@ def test_simulate_sine_runs_and_guards(capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--experiment", "sine", "--epsilon", "0.1", "--m", "60", "--reps", "2"
     )
-    assert code == EXIT_NUMERIC  # flutter too strong to stay monotone
-    assert "numeric error" in err
+    assert code == EXIT_USAGE  # flutter too strong to stay monotone
+    assert err == "igci: error: epsilon * omega = 4.0 must stay below 1 to keep the map increasing\n"
 
 
 @pytest.mark.parametrize("noise", ["normal", "laplace"])
@@ -273,10 +310,10 @@ def test_simulate_flag_of_the_other_experiment_is_usage(capsys, experiment, flag
 
 
 @pytest.mark.parametrize("flutter", [["--epsilon", "nan"], ["--omega", "nan"], ["--epsilon", "0", "--omega", "inf"]])
-def test_simulate_sine_non_finite_flutter_is_a_numeric_error(capsys, flutter):
+def test_simulate_sine_non_finite_flutter_is_usage(capsys, flutter):
     code, out, err = run_cli(capsys, "simulate", "--experiment", "sine", *flutter, "--m", "60", "--reps", "2")
-    assert code == EXIT_NUMERIC and out == ""
-    assert err.startswith("igci: numeric error: need finite epsilon >= 0 and omega > 0")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("igci: error: need finite epsilon >= 0 and omega > 0")
 
 
 @pytest.mark.parametrize("command", [["simulate", "--m", "50", "--reps", "2"], ["verify", "--check", "kl-identity", "--trials", "2"]])
@@ -286,19 +323,42 @@ def test_negative_seed_is_usage(capsys, command):
     assert err == "igci: error: --seed must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seed", "-1"],
+        ["verify", "--check", "kl-identity", "--trials", "0"],
+        ["verify", "--check", "noise-bound", "--m", "15"],
+        ["simulate", "--noise", "normal", "--lambda", "-1"],
+        ["simulate", "--noise", "normal"],
+        ["simulate", "--reps", "0"],
+        ["simulate", "--m", "2"],
+        ["simulate", "--experiment", "sine", "--epsilon", "0.1"],
+        ["simulate", "--experiment", "sine", "--epsilon", "nan"],
+        ["align", "{series}", "--max-lag", "-2"],
+    ],
+)
+def test_a_flag_value_out_of_range_is_usage(capsys, tmp_path, argv):
+    # One rule, whether the command line or the library checks the value.
+    (tmp_path / "s.tsv").write_text("".join(f"{v} {v}\n" for v in range(30)))
+    code, out, err = run_cli(capsys, *(arg.format(series=tmp_path / "s.tsv") for arg in argv))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("igci: error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 @pytest.mark.parametrize("experiment", ["grid", "sine"])
-def test_simulate_zero_reps_is_a_numeric_error(capsys, experiment):
+def test_simulate_zero_reps_is_usage(capsys, experiment):
     code, out, err = run_cli(capsys, "simulate", "--experiment", experiment, "--reps", "0")
-    assert code == EXIT_NUMERIC and out == ""
-    assert err == "igci: numeric error: repetitions must be at least 1, got 0\n"
+    assert code == EXIT_USAGE and out == ""
+    assert err == "igci: error: repetitions must be at least 1, got 0\n"
 
 
 @pytest.mark.parametrize("experiment", ["grid", "sine"])
 @pytest.mark.parametrize("m", ["0", "2"])
-def test_simulate_m_below_three_is_a_numeric_error(capsys, experiment, m):
+def test_simulate_m_below_three_is_usage(capsys, experiment, m):
     code, out, err = run_cli(capsys, "simulate", "--experiment", experiment, "--m", m, "--reps", "1")
-    assert code == EXIT_NUMERIC and out == ""
-    assert err == f"igci: numeric error: m must be at least 3, got {m}\n"
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"igci: error: m must be at least 3, got {m}\n"
 
 
 def test_simulate_tsv_config_comment(capsys):
@@ -376,6 +436,19 @@ def test_pairs_tsv_ends_with_the_summary_under_its_own_header(capsys, tmp_path):
     assert lines[-2:] == ["entries\tdecisions_pct\taccuracy_pct", "2\t100.0\t100.0"]
 
 
+def test_pairs_tsv_escapes_an_id_and_an_error_that_would_break_their_rows(capsys, tmp_path):
+    x = substream(206).random(500)
+    write_pair(tmp_path / "good.tsv", SamplePair(x, np.cbrt(x)))
+    (tmp_path / "m.csv").write_text('"a\tb",good.tsv,0,1,x->y\n"c\td","new\nline.tsv",0,1\n')
+    code, out, err = run_cli(capsys, "pairs", str(tmp_path / "m.csv"), "--format", "tsv")
+    assert code == EXIT_OK and err == ""
+    json_out = run_cli(capsys, "pairs", str(tmp_path / "m.csv"))[1]
+    _, good, missing, _ = json_records(json_out)
+    assert (good["id"], missing["id"]) == ("a\tb", "c\td")
+    assert missing["error"] == f"{tmp_path.resolve()}/new\nline.tsv: No such file or directory"
+    assert_tsv_holds_the_json_records(out, json_out)
+
+
 def test_pairs_non_utf8_manifest_is_a_data_error(capsys, tmp_path):
     (tmp_path / "m.csv").write_bytes(b"a, p\xff.tsv, 0, 1\n")
     code, out, err = run_cli(capsys, "pairs", str(tmp_path / "m.csv"))
@@ -441,6 +514,14 @@ def test_tracedir_column_errors(capsys, linear_table):
     assert code == EXIT_DATA
     code, _, err = run_cli(capsys, "tracedir", str(linear_table), "--x-cols", "0,0", "--y-cols", "2,3")
     assert code == EXIT_DATA  # duplicated regressor column cannot be fit
+
+
+@pytest.mark.parametrize("x_cols, y_cols, col", [("0,1", "0,1", 0), ("0,1", "2,1", 1), ("0,1,,", "3,1,0", 0)])
+def test_tracedir_column_on_both_sides_is_usage(capsys, linear_table, tmp_path, x_cols, y_cols, col):
+    # A column mapped onto itself fits exactly and can still read as a confident call.
+    for file in (linear_table, tmp_path / "missing.tsv"):  # refused before the file is read
+        code, out, err = run_cli(capsys, "tracedir", str(file), "--x-cols", x_cols, "--y-cols", y_cols)
+        assert (code, out, err) == (EXIT_USAGE, "", f"igci: error: column {col} is in both --x-cols and --y-cols\n")
 
 
 def test_tracedir_trailing_comma_in_columns_is_accepted(capsys, linear_table):
@@ -608,10 +689,11 @@ def test_align_non_finite_value_is_a_data_error(capsys, tmp_path):
 def test_align_negative_max_lag_is_usage(capsys, tmp_path):
     path = tmp_path / "s.tsv"
     path.write_text("".join(f"{v} {v}\n" for v in range(30)))
-    # A usage error does not depend on the file: a missing one gives the same answer.
-    for file in (path, tmp_path / "missing.tsv"):
-        code, out, err = run_cli(capsys, "align", str(file), "--max-lag", "-2")
-        assert (code, out, err) == (EXIT_USAGE, "", "igci: error: --max-lag must be nonnegative, got -2\n")
+    code, out, err = run_cli(capsys, "align", str(path), "--max-lag", "-2")
+    assert (code, out, err) == (EXIT_USAGE, "", "igci: error: max_lag must be nonnegative, got -2\n")
+    # align_lag checks the lag once it has the series, so a file it cannot read is reported first.
+    code, out, err = run_cli(capsys, "align", str(tmp_path / "missing.tsv"), "--max-lag", "-2")
+    assert code == EXIT_DATA and out == ""
 
 
 # ------------------------------------------------------------------ scale sweep
@@ -927,7 +1009,7 @@ def test_igci_seed_in_the_environment_changes_no_output(argv):
         (["infer", "{cube}"], EXIT_OK),
         (["frobnicate"], EXIT_USAGE),
         (["infer", "{absent}"], EXIT_DATA),
-        (["simulate", "--reps", "0"], EXIT_NUMERIC),
+        (["simulate", "--reps", "0"], EXIT_USAGE),
     ],
 )
 def test_a_fresh_process_gives_what_main_gives_in_process(capsys, monkeypatch, tmp_path, cube_file, argv, expected):

@@ -233,6 +233,26 @@ def test_output_records_are_built_only_in_the_cli():
     assert builders == {"cli"}
 
 
+def test_only_main_maps_an_error_family_to_an_exit_code():
+    # A handler elsewhere in the CLI would give one error two exit codes, depending on where it is raised.
+    families = {"IgciError", "DataError", "NumericError", "DomainError", "ConstantInputError"}
+    handlers = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            named = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.type)}
+            if families & named:
+                handlers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    path = ROOT / "src" / "igci" / "cli.py"
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    assert handlers == {"main"}
+
+
 def test_os_exit_is_called_only_by_a_forked_worker_and_the_command_line_exit():
     # One fast exit: any other would skip atexit handlers, the output flush or the profiler fallback.
     callers = set()
