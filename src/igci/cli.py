@@ -320,6 +320,8 @@ def _cmd_tracedir(args) -> int:
 
 
 def _cmd_align(args) -> int:
+    if args.max_lag is not None and args.max_lag < 0:  # refused before the file is read
+        raise _UsageError(f"max_lag must be nonnegative, got {args.max_lag}")
     a, b = load_columns(args.file, (args.x_col, args.y_col))
     max_lag = args.max_lag if args.max_lag is not None else max(1, min(a.size, b.size) // 10)
     alignment = align_lag(a, b, max_lag)
@@ -475,7 +477,7 @@ def main(argv=None) -> int:
             return args.func(args)
         except SystemExit as exc:  # --help exits 0, _Parser.error exits EXIT_USAGE
             return exc.code
-        except (_UsageError, DomainError) as exc:  # at the command line every argument is a flag
+        except (_UsageError, DomainError) as exc:  # a bug's DomainError would read as a flag's too
             print(f"igci: error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except DataError as exc:

@@ -2,9 +2,8 @@
 
 Two families matter to callers: DataError means the supplied data or file is
 unusable (CLI exit code 2), NumericError means a computation degenerated
-internally (CLI exit code 3). The CLI reports a DomainError, an argument
-outside its domain, as a usage error (exit code 1), since each of its
-arguments is a flag. The message says which check failed.
+internally (CLI exit code 3); the CLI reports its subclass DomainError, an argument
+outside its domain, as a usage error (exit code 1). The message says which check failed.
 """
 
 from __future__ import annotations
