@@ -35,15 +35,15 @@ import numpy as np
 
 from .core import MultiSample, ReferenceFamily, kl_additivity_gap
 from .errors import DataError, DomainError, IgciError, NumericError
-from .estimators import EstimatorKind, igci_score
+from .estimators import EstimatorKind, _score_pair
 from .io import (
+    _pair_columns,
     align_lag,
     evaluate_manifest,
     format_json_lines,
     format_tsv,
     load_columns,
     load_manifest,
-    load_pair,
 )
 from .simulation import (
     _FISHER_MIN_VALUES,
@@ -186,8 +186,10 @@ def _parse_cols(text: str, flag: str) -> list:
 
 def _cmd_infer(args) -> int:
     reference, estimator = _scoring(args)
-    pair = load_pair(args.file, args.x_col, args.y_col)
-    report = igci_score(pair, reference=reference, estimator=estimator)
+    # The columns are igci's own (views of the table just read, or copies), so
+    # the scoring works in them and copies no sample.
+    x, y = _pair_columns(args.file, args.x_col, args.y_col)
+    report = _score_pair(x, y, reference, estimator, overwrite=True)
     record = {
         "record": "pair",
         "id": args.id if args.id is not None else Path(args.file).name,

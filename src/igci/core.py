@@ -129,21 +129,23 @@ def _one_row(stack_fn, *args):
     return out
 
 
-def _map_rows(errors: dict, values: np.ndarray, reference: ReferenceFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _map_rows(
+    errors: dict, values: np.ndarray, reference: ReferenceFamily, out=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(values - shift) / scale for each row of an (n, m) stack, with shift, scale
     = min, max - min for the uniform reference and mean, population std for the
-    Gaussian one. Returns (mapped, shift, scale); mapped is one fresh array and
-    values is never written."""
+    Gaussian one. Returns (mapped, shift, scale); mapped is out, which may be values
+    itself, or else one fresh array, and values is written only as out."""
     lo, hi = values.min(axis=1), values.max(axis=1)
     if reference is ReferenceFamily.UNIFORM_UNIT:
         shift, scale, least = lo, hi - lo, 0.0
-        mapped = values - shift[:, None]
+        mapped = np.subtract(values, shift[:, None], out=out)
         mapped /= scale[:, None]
     else:
         # Moments of values / 2**e, 2**e just above the largest |value|: exact, so normal
         # data maps bit for bit, and no square over- or underflows. A subnormal std lost digits.
         e = np.frexp(np.maximum(-lo, hi))[1][:, None]
-        mapped = np.ldexp(values, -e)
+        mapped = np.ldexp(values, -e, out=out)
         centre, spread = mapped.mean(axis=1, keepdims=True), mapped.std(axis=1, keepdims=True)
         mapped -= centre
         mapped /= spread

@@ -172,13 +172,15 @@ def slope_criterion(x, y) -> float:
     return float(_one_row(_sorted_slope_stat, xa[None], ya[None])[0][0])
 
 
-def _slope_sides(errors: dict, x: np.ndarray, y: np.ndarray, reference: ReferenceFamily) -> tuple[np.ndarray, ...]:
+def _slope_sides(
+    errors: dict, x: np.ndarray, y: np.ndarray, reference: ReferenceFamily, overwrite: bool
+) -> tuple[np.ndarray, ...]:
     """(forward, kept_f, backward, kept_b): _slope_stat of each row pair of two
     (n, m) stacks, mapped onto reference, along sorted x and along sorted y. The
-    stacks are mapped here, so this frame holds the only reference to each array
-    and can drop it once it is spent."""
-    x = _map_rows(errors, x, reference)[0]
-    y = _sort_pairs(x, _map_rows(errors, y, reference)[0])
+    stacks are mapped here, into themselves when overwrite is true, so this frame
+    holds the only reference to each mapped copy and can drop it once it is spent."""
+    x = _map_rows(errors, x, reference, x if overwrite else None)[0]
+    y = _sort_pairs(x, _map_rows(errors, y, reference, y if overwrite else None)[0])
     dy = np.diff(y, axis=1)
     if (dy > 0.0).all():
         # y rises along x in every row, so the x order sorts y too and the
@@ -195,20 +197,30 @@ def _slope_sides(errors: dict, x: np.ndarray, y: np.ndarray, reference: Referenc
     return *forward, *_sorted_slope_stat(errors, y, x)
 
 
-def _score_stack(errors: dict, x: np.ndarray, y: np.ndarray, reference: ReferenceFamily, estimator: EstimatorKind):
+def _score_stack(
+    errors: dict,
+    x: np.ndarray,
+    y: np.ndarray,
+    reference: ReferenceFamily,
+    estimator: EstimatorKind,
+    overwrite: bool = False,
+):
     """(c_xy, m_used) of each row pair of two (n, m) stacks, as igci_score
     scores one pair. A row's error is the first of x preprocessing, y
     preprocessing, the x side and the y side; its c_xy and m_used are void.
-    x and y are never written."""
+    x and y are written only with overwrite=True, which gives both to the
+    scoring as its working memory; stacks that share memory are still copied,
+    as writing one would change the other."""
+    overwrite = overwrite and not np.shares_memory(x, y)
     with np.errstate(all="ignore"):
         if estimator is EstimatorKind.ENTROPY_SPACING:
             # One side at a time, so only one mapped stack is alive. A side fails
             # only on a constant row or a gap beyond float64, which a row that maps
             # cleanly cannot have, so no side error comes before a y mapping error.
-            s_x, kept_x = _spacing_stat(errors, _map_rows(errors, x, reference)[0])
-            s_y, kept_y = _spacing_stat(errors, _map_rows(errors, y, reference)[0])
+            s_x, kept_x = _spacing_stat(errors, _map_rows(errors, x, reference, x if overwrite else None)[0])
+            s_y, kept_y = _spacing_stat(errors, _map_rows(errors, y, reference, y if overwrite else None)[0])
             return s_y - s_x, np.minimum(kept_x, kept_y) + 1
-        forward, kept_f, backward, kept_b = _slope_sides(errors, x, y, reference)
+        forward, kept_f, backward, kept_b = _slope_sides(errors, x, y, reference, overwrite)
         # Half the difference: the reverse term compensates the divergence
         # both terms share once noise makes the relation non-functional.
         return (forward - backward) / 2.0, np.minimum(kept_f, kept_b) + 1
@@ -218,6 +230,17 @@ def _direction(c_xy: float) -> Direction:
     if c_xy < -DECISION_TOL:
         return Direction.X_TO_Y
     return Direction.Y_TO_X if c_xy > DECISION_TOL else Direction.UNDECIDED
+
+
+def _score_pair(
+    x: np.ndarray, y: np.ndarray, reference: ReferenceFamily, estimator: EstimatorKind, overwrite: bool = False
+) -> IgciReport:
+    """The report on two 1-D float64 samples of one finite pair, as _score_stack
+    scores them; overwrite as there. c_yx is 0.0 - c_xy, which is -c_xy for every
+    nonzero score and 0.0, not -0.0, for a zero one."""
+    c_xy, m_used = _one_row(_score_stack, x[None], y[None], reference, estimator, overwrite)
+    c_xy = float(c_xy[0])
+    return IgciReport(c_xy, 0.0 - c_xy, _direction(c_xy), int(m_used[0]))
 
 
 def igci_score(
@@ -231,6 +254,4 @@ def igci_score(
     The report carries the signed score both ways round, with c_yx = -c_xy
     by construction.
     """
-    c_xy, m_used = _one_row(_score_stack, pair.x[None], pair.y[None], reference, estimator)
-    c_xy = float(c_xy[0])
-    return IgciReport(c_xy, -c_xy, _direction(c_xy), int(m_used[0]))
+    return _score_pair(pair.x, pair.y, reference, estimator)

@@ -120,10 +120,10 @@ def _parse_table(path: Path) -> np.ndarray:
     return _parse_lines(path, text)
 
 
-# Parsed tables are kept as .npy files named by a hash of the text they came
-# from. Bump _TABLE_FORMAT whenever the parse rules change, so that no table
-# parsed under the old rules is read back.
-_TABLE_FORMAT = 1
+# Parsed tables are kept as column-major .npy files named by a hash of the
+# text they came from. Bump _TABLE_FORMAT whenever the parse rules or the
+# stored layout change, so that no entry kept under the old ones is read back.
+_TABLE_FORMAT = 2
 _TABLE_CACHE_BYTES = 512 << 20  # past this, the least recently used entries go
 # A file is hashed and kept only from its second read on, so a file read once
 # pays for no hash and no copy. Its first read writes an 8-byte fingerprint of
@@ -187,12 +187,12 @@ def _table_entry(cache: Path, path: Path) -> Optional[Path]:
 
 def _cached_table(entry: Path) -> Optional[np.ndarray]:
     """The table kept in entry, or None when there is none or it is not a
-    non-empty C-ordered 2-D float64 array. A hit marks the entry as used."""
+    non-empty column-major 2-D float64 array. A hit marks the entry as used."""
     try:
         table = np.load(entry, allow_pickle=False)
     except (OSError, ValueError, EOFError):
         return None
-    if table.ndim != 2 or table.dtype != np.float64 or not table.size or not table.flags.c_contiguous:
+    if table.ndim != 2 or table.dtype != np.float64 or not table.size or not table.flags.f_contiguous:
         return None
     with contextlib.suppress(OSError):
         os.utime(entry)
@@ -200,8 +200,9 @@ def _cached_table(entry: Path) -> Optional[np.ndarray]:
 
 
 def _store_table(entry: Path, path: Path, table: np.ndarray) -> None:
-    """Keep the table parsed from path in entry, then remove the least
-    recently used entries until the cache fits its cap.
+    """Keep the table parsed from path in entry, column-major, then remove
+    the least recently used entries until the cache fits its cap. The
+    columns are written one at a time, so at most one is copied.
 
     np.loadtxt reads the file from its path, not from the bytes that were
     hashed, so the file is hashed again: the table is kept only if the bytes
@@ -217,7 +218,12 @@ def _store_table(entry: Path, path: Path, table: np.ndarray) -> None:
     try:
         try:
             with tmp.open("wb") as handle:
-                np.save(handle, table, allow_pickle=False)
+                descr = np.lib.format.dtype_to_descr(table.dtype)
+                np.lib.format.write_array_header_1_0(
+                    handle, {"descr": descr, "fortran_order": True, "shape": table.shape}
+                )
+                for column in table.T:
+                    handle.write(column.tobytes())
                 size = handle.tell()
             os.replace(tmp, entry)
         finally:
@@ -258,14 +264,18 @@ def load_table(path) -> np.ndarray:
 
     A regular file read before, with the same size and mtime, goes through
     a cache under $XDG_CACHE_HOME/igci/tables (~/.cache/igci/tables when
-    that is unset): its bytes are hashed (SHA-256), and the table kept under
-    that hash in numpy's .npy format is loaded, or the file is parsed and
-    its table kept. A first read only notes the file's device, inode, size
-    and mtime in a fixed-size table there. Copies stay after their source
-    is deleted; once they pass 512 MiB the least recently used go. A file
-    that fails to parse leaves no entry, and a cache that cannot be read or
-    written is passed over silently: nothing needs it, and deleting it is
-    always safe. The returned array is the caller's own.
+    that is unset or relative): its bytes are hashed (SHA-256), and the
+    table kept under that hash as a column-major .npy file is loaded, or the
+    file is parsed and its table kept. A first read only notes the file's
+    device, inode, size and mtime in one slot of the fixed-size file `seen`
+    there. Copies stay after their source is edited or deleted; once they
+    pass 512 MiB the least recently used go. A file that fails to parse
+    leaves no entry, and a cache that cannot be read or written is passed
+    over silently: nothing needs it, deleting it is always safe, and
+    XDG_CACHE_HOME=/dev/null turns it off.
+
+    The returned array is the caller's own: np.loadtxt's row-major table
+    when the text was parsed, the kept column-major one when it was loaded.
     """
     path = Path(path)
     cache = _table_cache(path)
@@ -292,6 +302,22 @@ def load_columns(path, cols: Sequence[int]) -> tuple:
     return tuple(table[:, col] for col in cols)
 
 
+def _pair_columns(path, x_col: int, y_col: int) -> tuple:
+    """load_pair's two columns as arrays: views of the table read, or fresh
+    copies when rows were dropped. The warning points at load_pair's caller."""
+    x, y = load_columns(path, (x_col, y_col))
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):  # one mask alive at a time
+        keep = np.isfinite(x)
+        keep &= np.isfinite(y)
+        dropped = int(keep.size - np.count_nonzero(keep))
+        warnings.warn(f"{path}: dropped {dropped} rows with non-finite values", stacklevel=3)
+        x = x[keep]
+        y = y[keep]
+    if x.size < 3:
+        raise DataError(f"{path}: only {x.size} usable rows")
+    return x, y
+
+
 def load_pair(path, x_col: int = 0, y_col: int = 1) -> SamplePair:
     """Load two columns as a SamplePair.
 
@@ -299,17 +325,7 @@ def load_pair(path, x_col: int = 0, y_col: int = 1) -> SamplePair:
     single warning reports how many. Raises DataError when a column is
     missing or fewer than 3 usable rows remain.
     """
-    x, y = load_columns(path, (x_col, y_col))
-    keep = np.isfinite(x)
-    keep &= np.isfinite(y)
-    dropped = int(keep.size - np.count_nonzero(keep))
-    if dropped:
-        warnings.warn(f"{path}: dropped {dropped} rows with non-finite values", stacklevel=2)
-        x = x[keep]
-        y = y[keep]
-    if x.size < 3:
-        raise DataError(f"{path}: only {x.size} usable rows")
-    return SamplePair(x, y)
+    return SamplePair(*_pair_columns(path, x_col, y_col))
 
 
 def write_pair(path, pair: SamplePair) -> None:

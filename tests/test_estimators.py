@@ -23,7 +23,7 @@ from igci import (
     standardize_gaussian,
 )
 from igci.core import _map_rows
-from igci.estimators import _DIFF_COLUMNS, _score_stack, _sort_pairs, _spacing_stat
+from igci.estimators import _DIFF_COLUMNS, _score_pair, _score_stack, _sort_pairs, _spacing_stat
 from igci.simulation import substream
 
 ENTROPY = EstimatorKind.ENTROPY_SPACING
@@ -432,6 +432,12 @@ def test_stack_kernel_matches_one_pair_path(m, kinds, seed, reference, estimator
     assert error == want_error
     if want_error is None:
         assert (report.c_xy, report.m_used) == want and type(report.c_xy) is float
+    # `igci infer` scores the columns of the table it read in place, row- or column-major
+    for table in (np.column_stack(rows[0]), np.asfortranarray(np.column_stack(rows[0]))):
+        report, error = _outcome(_score_pair, table[:, 0], table[:, 1], reference, estimator, True)
+        assert error == want_error
+        if want_error is None:
+            assert (report.c_xy, report.m_used) == want
     for public, oracle, args in (
         (normalize_uniform, _oracle_normalize, (xi,)),
         (lambda v: standardize_gaussian(v)[0], _oracle_standardize, (xi,)),

@@ -271,12 +271,12 @@ def test_load_table_read_after_the_kept_one_is_the_cached_table(tmp_path, monkey
     rows[0] = [-0.0, 1e-310, 2.0 ** -1074]
     np.savetxt(path, rows, fmt="%.17g")
     kept = _keep(path)
-    assert _cache_files() == [_entry(path).name]
+    assert _cache_files() == [_entry(path).name] and kept.flags.c_contiguous  # np.loadtxt's table
     monkeypatch.setattr(np, "loadtxt", _refuse)
     monkeypatch.setattr(igci.io, "_parse_lines", _refuse)
     again = load_table(path)
     assert again.tobytes() == kept.tobytes() == rows.tobytes()
-    assert again.dtype == np.float64 and again.shape == (300, 3) and again.flags.c_contiguous
+    assert again.dtype == np.float64 and again.shape == (300, 3) and again.flags.f_contiguous
 
 
 def test_load_table_files_sharing_a_seen_slot_are_only_parsed_again(tmp_path, monkeypatch):
@@ -303,7 +303,7 @@ def test_load_table_same_size_rewrite_with_its_old_mtime_is_a_miss(tmp_path):
     assert len(_cache_files()) == 2
 
 
-@pytest.mark.parametrize("damage", ["truncated", "empty", "float32", "int64", "1-d", "fortran", "object"])
+@pytest.mark.parametrize("damage", ["truncated", "empty", "float32", "int64", "1-d", "row-major", "object"])
 def test_load_table_replaces_a_bad_cache_entry(tmp_path, monkeypatch, damage):
     path = tmp_path / "t.tsv"
     path.write_text("1 2\n3 4\n5 6\n")
@@ -317,7 +317,7 @@ def test_load_table_replaces_a_bad_cache_entry(tmp_path, monkeypatch, damage):
         np.save(entry, np.array([[1.0, None]], dtype=object), allow_pickle=True)
     else:
         np.save(entry, {"float32": expected.astype(np.float32), "int64": expected.astype(np.int64),
-                        "1-d": expected.ravel(), "fortran": np.asfortranarray(expected)}[damage])
+                        "1-d": expected.ravel(), "row-major": np.ascontiguousarray(expected)}[damage])
     parsed = []
     monkeypatch.setattr(igci.io, "_parse_table", lambda p: parsed.append(p) or _parse_table(p))
     assert load_table(path).tobytes() == expected.tobytes()
@@ -475,9 +475,10 @@ def test_load_pair_column_selection(tmp_path):
 def test_load_pair_drops_non_finite_rows_with_warning(tmp_path):
     p = tmp_path / "gappy.tsv"
     p.write_text("1 1\nnan 2\n3 3\n4 inf\n5 5\n6 6\n")
-    with pytest.warns(UserWarning, match="dropped 2 rows"):
+    with pytest.warns(UserWarning, match="dropped 2 rows") as caught:
         pair = load_pair(p)
     assert pair.x.tolist() == [1.0, 3.0, 5.0, 6.0]
+    assert caught[0].filename == __file__  # the warning points at load_pair's caller
 
 
 def test_load_pair_too_few_usable_rows(tmp_path):

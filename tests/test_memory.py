@@ -1,8 +1,8 @@
 """Caller arrays and working memory.
 
 No public numeric function writes to the arrays it is given, the scalar
-scoring routes and load_pair hold a bounded number of sample-length buffers,
-and the linear fit a bounded share of its input.
+scoring routes, load_pair and `igci infer` hold a bounded number of
+sample-length buffers, and the linear fit a bounded share of its input.
 """
 
 import tracemalloc
@@ -33,6 +33,7 @@ from igci import (
     verify_noise_bound,
     write_pair,
 )
+from igci.cli import main
 from igci.simulation import substream
 from igci.trace import _infer_in_place
 
@@ -160,6 +161,36 @@ def test_public_statistics_hold_a_bounded_number_of_sample_buffers(shape):
     pair = _pair(shape)
     assert _peak_buffers(spacing_entropy, pair.y) <= 1.15
     assert _peak_buffers(slope_criterion, pair.x, pair.y) <= 3.05
+
+
+# `igci infer` reads its file into a two-column table, two buffers, and scores the columns
+# in the table's own memory. A file's first read only notes it, the second parses it and
+# keeps its table column-major, and the third loads that kept table. Third-read bounds sit
+# just above the values reached: the table plus 0.13 (uniform entropy: one keep mask), 1.01
+# (Gaussian entropy: the std's deviations), 2.14 (rising slope) and 3.14 (noisy slope),
+# each _SCORE_BOUNDS reading less the two mapped copies. A second read adds np.loadtxt's
+# chunks and the one column that keeping the table copies. Its bounds are the readings of
+# scoring through copies instead: 3.13, 4.01, 6.01 and 6.14.
+_INFER_BOUNDS = [
+    (UNIFORM, ENTROPY, "rising", 3.15, 2.15),
+    (GAUSSIAN, ENTROPY, "rising", 4.05, 3.05),
+    (UNIFORM, ENTROPY, "noisy", 3.15, 2.15),
+    (GAUSSIAN, ENTROPY, "noisy", 4.05, 3.05),
+    (UNIFORM, SLOPE, "rising", 6.05, 4.15),
+    (GAUSSIAN, SLOPE, "rising", 6.05, 4.15),
+    (UNIFORM, SLOPE, "noisy", 6.15, 5.15),
+    (GAUSSIAN, SLOPE, "noisy", 6.15, 5.15),
+]
+
+
+@pytest.mark.parametrize("reference, estimator, shape, second, third", _INFER_BOUNDS)
+def test_infer_scores_in_the_table_it_reads(tmp_path, capsys, reference, estimator, shape, second, third):
+    path = tmp_path / "pair.tsv"
+    write_pair(path, _pair(shape))
+    argv = ["infer", str(path), "--reference", reference.value, "--estimator", estimator.value]
+    peaks = [_peak_buffers(main, argv) for _ in range(3)]
+    assert peaks[1] <= second and peaks[2] <= third
+    assert len(set(capsys.readouterr().out.splitlines())) == 1
 
 
 def test_load_pair_returns_views_of_the_one_table(tmp_path):

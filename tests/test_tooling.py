@@ -165,14 +165,20 @@ def test_text_becomes_a_table_only_in_io():
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = f"{owner.split('.')[0]}.{node.name}"
-        if isinstance(node, ast.Attribute) and ast.unparse(node) in ("np.loadtxt", "np.load", "np.save"):
+        if isinstance(node, ast.Attribute) and ast.unparse(node) in (
+            "np.loadtxt", "np.load", "np.save", "np.lib.format.write_array_header_1_0"
+        ):
             callers.setdefault(node.attr, set()).add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     for path in (ROOT / "src" / "igci").glob("*.py"):
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
-    assert callers == {"loadtxt": {"io._parse_table"}, "load": {"io._cached_table"}, "save": {"io._store_table"}}
+    assert callers == {
+        "loadtxt": {"io._parse_table"},
+        "load": {"io._cached_table"},
+        "write_array_header_1_0": {"io._store_table"},
+    }
 
 
 def test_every_seed_argument_is_a_name_or_an_integer_literal():
@@ -306,3 +312,25 @@ def test_the_library_and_tracedir_share_one_fit_path():
     assert uses["_infer_in_place"] == {"trace.infer_linear_direction", "cli._cmd_tracedir"}
     public = {func for func, owners in uses.items() if "trace.infer_linear_direction" in owners}
     assert public == {"_infer_in_place", "x.data.copy", "y.data.copy"}
+
+
+def test_the_library_and_infer_share_one_scoring_entry():
+    # igci_score and `igci infer` report through _score_pair, so a report is built one way;
+    # only `infer`, which owns the columns it has just read, lets the scoring write to them.
+    uses, overwrites = {}, set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Call):
+            uses.setdefault(ast.unparse(node.func), set()).add(owner)
+            if any(kw.arg == "overwrite" and ast.unparse(kw.value) != "False" for kw in node.keywords):
+                overwrites.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in (ROOT / "src" / "igci").glob("*.py"):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert uses.get("_score_pair") == {"estimators.igci_score", "cli._cmd_infer"}
+    assert uses["IgciReport"] == {"estimators._score_pair"}
+    assert overwrites == {"cli._cmd_infer"}
