@@ -37,7 +37,7 @@ from .core import MultiSample, ReferenceFamily, kl_additivity_gap
 from .errors import DataError, DomainError, IgciError, NumericError
 from .estimators import EstimatorKind, _score_pair
 from .io import (
-    _pair_columns,
+    _pair_sides,
     align_lag,
     evaluate_manifest,
     format_json_lines,
@@ -186,10 +186,9 @@ def _parse_cols(text: str, flag: str) -> list:
 
 def _cmd_infer(args) -> int:
     reference, estimator = _scoring(args)
-    # The columns are igci's own (views of the table just read, or copies), so
-    # the scoring works in them and copies no sample.
-    x, y = _pair_columns(args.file, args.x_col, args.y_col)
-    report = _score_pair(x, y, reference, estimator, overwrite=True)
+    # The columns are igci's own, so the scoring works in them and copies no
+    # sample; from a file's third read on they are read one at a time.
+    report = _score_pair(_pair_sides(args.file, args.x_col, args.y_col), reference, estimator, overwrite=True)
     record = {
         "record": "pair",
         "id": args.id if args.id is not None else Path(args.file).name,

@@ -172,6 +172,11 @@ def slope_criterion(x, y) -> float:
     return float(_one_row(_sorted_slope_stat, xa[None], ya[None])[0][0])
 
 
+def _mapped(errors: dict, values: np.ndarray, reference: ReferenceFamily, overwrite: bool) -> np.ndarray:
+    """An (n, m) stack mapped onto reference, into itself when overwrite is true."""
+    return _map_rows(errors, values, reference, values if overwrite else None)[0]
+
+
 def _slope_sides(
     errors: dict, x: np.ndarray, y: np.ndarray, reference: ReferenceFamily, overwrite: bool
 ) -> tuple[np.ndarray, ...]:
@@ -179,8 +184,8 @@ def _slope_sides(
     (n, m) stacks, mapped onto reference, along sorted x and along sorted y. The
     stacks are mapped here, into themselves when overwrite is true, so this frame
     holds the only reference to each mapped copy and can drop it once it is spent."""
-    x = _map_rows(errors, x, reference, x if overwrite else None)[0]
-    y = _sort_pairs(x, _map_rows(errors, y, reference, y if overwrite else None)[0])
+    x = _mapped(errors, x, reference, overwrite)
+    y = _sort_pairs(x, _mapped(errors, y, reference, overwrite))
     dy = np.diff(y, axis=1)
     if (dy > 0.0).all():
         # y rises along x in every row, so the x order sorts y too and the
@@ -199,28 +204,28 @@ def _slope_sides(
 
 def _score_stack(
     errors: dict,
-    x: np.ndarray,
-    y: np.ndarray,
+    sides,
     reference: ReferenceFamily,
     estimator: EstimatorKind,
     overwrite: bool = False,
 ):
-    """(c_xy, m_used) of each row pair of two (n, m) stacks, as igci_score
-    scores one pair. A row's error is the first of x preprocessing, y
-    preprocessing, the x side and the y side; its c_xy and m_used are void.
-    x and y are written only with overwrite=True, which gives both to the
-    scoring as its working memory; stacks that share memory are still copied,
-    as writing one would change the other."""
-    overwrite = overwrite and not np.shares_memory(x, y)
+    """(c_xy, m_used) of each row pair of two (n, m) stacks, x's then y's in the
+    iterable sides, as igci_score scores one pair. A row's error is the first of
+    x preprocessing, y preprocessing, the x side and the y side; its c_xy and
+    m_used are void. The entropy route asks for y only once x is reduced and
+    released, so a lazy sides holds one stack at a time; the slope route takes
+    both. The stacks are written only with overwrite=True, which gives each to
+    the scoring as its working memory: it must share memory with no other."""
+    sides = iter(sides)
     with np.errstate(all="ignore"):
         if estimator is EstimatorKind.ENTROPY_SPACING:
             # One side at a time, so only one mapped stack is alive. A side fails
             # only on a constant row or a gap beyond float64, which a row that maps
             # cleanly cannot have, so no side error comes before a y mapping error.
-            s_x, kept_x = _spacing_stat(errors, _map_rows(errors, x, reference, x if overwrite else None)[0])
-            s_y, kept_y = _spacing_stat(errors, _map_rows(errors, y, reference, y if overwrite else None)[0])
+            s_x, kept_x = _spacing_stat(errors, _mapped(errors, next(sides), reference, overwrite))
+            s_y, kept_y = _spacing_stat(errors, _mapped(errors, next(sides), reference, overwrite))
             return s_y - s_x, np.minimum(kept_x, kept_y) + 1
-        forward, kept_f, backward, kept_b = _slope_sides(errors, x, y, reference, overwrite)
+        forward, kept_f, backward, kept_b = _slope_sides(errors, *sides, reference, overwrite)
         # Half the difference: the reverse term compensates the divergence
         # both terms share once noise makes the relation non-functional.
         return (forward - backward) / 2.0, np.minimum(kept_f, kept_b) + 1
@@ -232,13 +237,13 @@ def _direction(c_xy: float) -> Direction:
     return Direction.Y_TO_X if c_xy > DECISION_TOL else Direction.UNDECIDED
 
 
-def _score_pair(
-    x: np.ndarray, y: np.ndarray, reference: ReferenceFamily, estimator: EstimatorKind, overwrite: bool = False
-) -> IgciReport:
-    """The report on two 1-D float64 samples of one finite pair, as _score_stack
-    scores them; overwrite as there. c_yx is 0.0 - c_xy, which is -c_xy for every
-    nonzero score and 0.0, not -0.0, for a zero one."""
-    c_xy, m_used = _one_row(_score_stack, x[None], y[None], reference, estimator, overwrite)
+def _score_pair(sides, reference: ReferenceFamily, estimator: EstimatorKind, overwrite: bool = False) -> IgciReport:
+    """The report on the two 1-D float64 samples of one finite pair, x's then
+    y's in the iterable sides, as _score_stack scores them; sides and overwrite
+    as there. c_yx is 0.0 - c_xy, which is -c_xy for every nonzero score and
+    0.0, not -0.0, for a zero one."""
+    # map holds no side it has handed on, so a lazy sides keeps its one-at-a-time promise.
+    c_xy, m_used = _one_row(_score_stack, map(np.atleast_2d, sides), reference, estimator, overwrite)
     c_xy = float(c_xy[0])
     return IgciReport(c_xy, 0.0 - c_xy, _direction(c_xy), int(m_used[0]))
 
@@ -254,4 +259,4 @@ def igci_score(
     The report carries the signed score both ways round, with c_yx = -c_xy
     by construction.
     """
-    return _score_pair(pair.x, pair.y, reference, estimator)
+    return _score_pair((pair.x, pair.y), reference, estimator)

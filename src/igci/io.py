@@ -185,18 +185,43 @@ def _table_entry(cache: Path, path: Path) -> Optional[Path]:
     return cache / f"{digest.hexdigest()}.npy"
 
 
-def _cached_table(entry: Path) -> Optional[np.ndarray]:
-    """The table kept in entry, or None when there is none or it is not a
-    non-empty column-major 2-D float64 array. A hit marks the entry as used."""
+def _open_kept(entry: Path) -> Optional[tuple]:
+    """(handle, shape, offset): entry opened at its first value, the shape of
+    the table kept there and the offset of that value. None, and nothing left
+    open, unless entry holds a non-empty column-major 2-D float64 array that
+    fills the rest of the file. A usable entry is marked as used."""
     try:
-        table = np.load(entry, allow_pickle=False)
-    except (OSError, ValueError, EOFError):
+        handle = entry.open("rb")
+    except OSError:
         return None
-    if table.ndim != 2 or table.dtype != np.float64 or not table.size or not table.flags.f_contiguous:
+    try:
+        if np.lib.format.read_magic(handle) == (1, 0):  # the version _store_table writes
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
+            offset = handle.tell()
+            if (
+                len(shape) == 2 and fortran_order and dtype == np.float64
+                and 0 < 8 * math.prod(shape) == os.fstat(handle.fileno()).st_size - offset
+            ):
+                with contextlib.suppress(OSError):
+                    os.utime(entry)
+                return handle, shape, offset
+    except (OSError, ValueError):  # numpy reports a short or malformed header as a ValueError
+        pass
+    handle.close()
+    return None
+
+
+def _cached_table(entry: Path) -> Optional[np.ndarray]:
+    """The table kept in entry, or None when there is no usable one."""
+    kept = _open_kept(entry)
+    if kept is None:
         return None
-    with contextlib.suppress(OSError):
-        os.utime(entry)
-    return table
+    handle, shape, _ = kept
+    with handle:
+        try:
+            return np.fromfile(handle, np.float64, math.prod(shape)).reshape(shape, order="F")
+        except (OSError, ValueError):  # a read cut short cannot take the shape
+            return None
 
 
 def _store_table(entry: Path, path: Path, table: np.ndarray) -> None:
@@ -247,6 +272,25 @@ def _store_table(entry: Path, path: Path, table: np.ndarray) -> None:
         return
 
 
+def _kept_entry(path: Path) -> Optional[Path]:
+    """The cache entry named by the hash of path's bytes, from the file's
+    second read on; None on a first read or when there is no cache. Look it
+    up once per read: a first read notes the file, so a second lookup in the
+    same read would take it for a second read and keep its table."""
+    cache = _table_cache(path)
+    return _table_entry(cache, path) if cache else None
+
+
+def _read_table(path: Path, entry: Optional[Path]) -> np.ndarray:
+    """load_table's table, with path's cache entry already looked up."""
+    table = _cached_table(entry) if entry else None
+    if table is None:
+        table = _parse_table(path)
+        if entry:
+            _store_table(entry, path, table)
+    return table
+
+
 def load_table(path) -> np.ndarray:
     """Read a whole numeric table; every data row must have the same width.
 
@@ -278,14 +322,16 @@ def load_table(path) -> np.ndarray:
     when the text was parsed, the kept column-major one when it was loaded.
     """
     path = Path(path)
-    cache = _table_cache(path)
-    entry = _table_entry(cache, path) if cache else None
-    table = _cached_table(entry) if entry else None
-    if table is None:
-        table = _parse_table(path)
-        if entry:
-            _store_table(entry, path, table)
-    return table
+    return _read_table(path, _kept_entry(path))
+
+
+def _columns(path, table: np.ndarray, cols: Sequence[int]) -> tuple:
+    """load_columns's columns of a table read from path."""
+    ncols = table.shape[1]
+    for col in cols:
+        if not 0 <= col < ncols:
+            raise DataError(f"{path}: column {col} not present (rows have {ncols} columns)")
+    return tuple(table[:, col] for col in cols)
 
 
 def load_columns(path, cols: Sequence[int]) -> tuple:
@@ -294,18 +340,14 @@ def load_columns(path, cols: Sequence[int]) -> tuple:
 
     Raises DataError naming the first column the rows do not have.
     """
-    table = load_table(path)
-    ncols = table.shape[1]
-    for col in cols:
-        if not 0 <= col < ncols:
-            raise DataError(f"{path}: column {col} not present (rows have {ncols} columns)")
-    return tuple(table[:, col] for col in cols)
+    return _columns(path, load_table(path), cols)
 
 
-def _pair_columns(path, x_col: int, y_col: int) -> tuple:
-    """load_pair's two columns as arrays: views of the table read, or fresh
-    copies when rows were dropped. The warning points at load_pair's caller."""
-    x, y = load_columns(path, (x_col, y_col))
+def _pair_columns(path, table: np.ndarray, x_col: int, y_col: int) -> tuple:
+    """load_pair's two columns of a table read from path, as arrays: views of
+    the table, or fresh copies when rows were dropped. The warning points at
+    load_pair's caller."""
+    x, y = _columns(path, table, (x_col, y_col))
     if not (np.isfinite(x).all() and np.isfinite(y).all()):  # one mask alive at a time
         keep = np.isfinite(x)
         keep &= np.isfinite(y)
@@ -325,7 +367,48 @@ def load_pair(path, x_col: int = 0, y_col: int = 1) -> SamplePair:
     single warning reports how many. Raises DataError when a column is
     missing or fewer than 3 usable rows remain.
     """
-    return SamplePair(*_pair_columns(path, x_col, y_col))
+    return SamplePair(*_pair_columns(path, load_table(path), x_col, y_col))
+
+
+def _kept_column(kept: tuple, col: int) -> np.ndarray:
+    """Column col of the table _open_kept opened, read from its offset into a fresh array."""
+    handle, (rows, _), offset = kept
+    handle.seek(offset + 8 * rows * col)
+    return np.fromfile(handle, np.float64, rows)
+
+
+def _pair_sides(path, x_col: int, y_col: int):
+    """x's sample, then y's: load_pair's two columns, as `igci infer` scores
+    them. Each is the caller's own and shares memory with no other, so the
+    scoring may work in it; errors and the warning are _pair_columns's.
+
+    From a file's third read on, the kept entry's header is read once and
+    each column is read from its offset when it is asked for: y's, to check
+    that it is finite, then x's, then y's again. So a caller that drops x
+    before it asks for y holds one column at a time. A non-finite value, a
+    first or second read, or an entry that cannot serve the pair takes
+    _pair_columns's route through the whole table.
+    """
+    path = Path(path)
+    entry = _kept_entry(path)
+    kept = _open_kept(entry) if entry else None
+    if kept is not None:
+        handle, (rows, ncols), _ = kept
+        with handle:
+            usable = rows >= 3 and 0 <= x_col < ncols and 0 <= y_col < ncols
+            if usable and np.isfinite(_kept_column(kept, y_col)).all():
+                x = _kept_column(kept, x_col)
+                if np.isfinite(x).all():
+                    yield x
+                    del x  # the caller has reduced x before it asks for y
+                    yield _kept_column(kept, y_col)
+                    return
+                del x
+    x, y = _pair_columns(path, _read_table(path, entry), x_col, y_col)
+    if np.shares_memory(x, y):  # one column named twice: scoring x in place must leave y as read
+        y = y.copy()
+    yield x
+    yield y
 
 
 def write_pair(path, pair: SamplePair) -> None:
@@ -466,7 +549,7 @@ class ManifestEntry:
 
     def __post_init__(self) -> None:
         if not (self.weight > 0.0 and math.isfinite(self.weight)):
-            raise DataError(f"entry {self.entry_id}: weight must be positive, got {self.weight!r}")
+            raise DataError(f"weight must be positive, got {self.weight!r}")
 
 
 def load_manifest(path) -> tuple:
@@ -495,7 +578,7 @@ def load_manifest(path) -> tuple:
                     weight=weight,
                 )
             )
-        except ValueError as exc:
+        except (ValueError, DataError) as exc:  # a bad number, or ManifestEntry's weight check
             raise DataError(f"{path}: entry {lineno}: {exc}") from None
     if not entries:
         raise DataError(f"{path}: manifest has no entries")

@@ -316,7 +316,7 @@ def _run_cells(cells, draw, m, repetitions, estimator, reference, seed) -> dict:
             streams = (substream(seed, *path, rep) for rep in range(start, start + len(block)))
             y = draw(spec, streams, block)
             errors = {}
-            c_xy, _ = _score_stack(errors, block, y, reference, estimator)
+            c_xy, _ = _score_stack(errors, (block, y), reference, estimator)
             for row, c in enumerate(c_xy.tolist()):
                 direction = Direction.UNDECIDED if row in errors else _direction(c)
                 tally.correct += direction is Direction.X_TO_Y

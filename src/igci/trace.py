@@ -105,8 +105,9 @@ def infer_linear_direction(
     leaves float64, and a power-of-two rescaling of either gives the same
     result bit for bit.
     """
-    # The fit works in place, so it gets copies; each keeps its layout, which the rounding follows.
-    return _infer_in_place(x.data.copy(order="K"), y.data.copy(order="K"), refit_reverse)
+    # The fit works in place, so it gets copies. The rounding follows their layout, so each is
+    # column-major, as `igci tracedir` holds its columns, whatever the layout of the arguments.
+    return _infer_in_place(x.data.copy(order="F"), y.data.copy(order="F"), refit_reverse)
 
 
 def _infer_in_place(x_c: np.ndarray, y_c: np.ndarray, refit_reverse: bool) -> LinearDirectionResult:

@@ -200,27 +200,34 @@ def test_infer_stdout_on_a_noisy_pair_matches_its_digest(capsys, tmp_path, estim
     assert hashlib.sha256(out.encode()).hexdigest() == _NOISY_INFER_SHA256[estimator, reference]
 
 
-# A file's first read scores views of np.loadtxt's row-major table, and a read from its
-# third on scores the kept column-major table, in place unless both flags name one column.
+# A file's first read scores views of np.loadtxt's row-major table, in place unless both
+# flags name one column. A read from its third on reads the kept columns one at a time, or,
+# with a non-finite value in either, scores the kept column-major table.
 @pytest.mark.parametrize("estimator", ["entropy", "slope"])
 @pytest.mark.parametrize("reference", ["uniform", "gaussian"])
-@pytest.mark.parametrize("case", ["noisy", "dropped-row", "one-column"])
+@pytest.mark.parametrize("case", ["noisy", "dropped-row", "dropped-x-row", "one-column", "swapped-csv", "tsv"])
 def test_infer_stdout_is_the_same_on_a_first_read_and_a_re_read(capsys, tmp_path, estimator, reference, case):
     rng = substream(207)
     x = rng.random(3000)
     table = np.column_stack([x, np.sqrt(x) + 0.1 * rng.standard_normal(3000)])
     if case == "dropped-row":
         table[17, 1] = np.nan
+    if case == "dropped-x-row":
+        table[17, 0] = -np.inf
     path = tmp_path / "pair.tsv"
-    np.savetxt(path, table, fmt="%.17g", delimiter="\t")
+    if case == "swapped-csv":
+        table = np.column_stack([table[:, 1], rng.random(3000), table[:, 0]])
+        path = tmp_path / "pair.csv"
+    np.savetxt(path, table, fmt="%.17g", delimiter="," if case == "swapped-csv" else "\t")
     argv = ["infer", str(path), "--estimator", estimator, "--reference", reference]
-    if case == "one-column":
-        argv += ["--x-col", "0", "--y-col", "0"]
+    argv += {"one-column": ["--x-col", "0", "--y-col", "0"], "swapped-csv": ["--x-col", "2", "--y-col", "0"],
+             "tsv": ["--format", "tsv"]}.get(case, [])
     runs = [run_cli(capsys, *argv) for _ in range(3)]
     assert runs[0][0] == EXIT_OK and runs[1] == runs[0] and runs[2] == runs[0]
     assert len(list(Path(os.environ["XDG_CACHE_HOME"], "igci", "tables").glob("*.npy"))) == 1
-    (record,) = json_records(runs[0][1])
-    assert record["m_used"] == (2999 if case == "dropped-row" else 3000)
+    if case != "tsv":
+        (record,) = json_records(runs[0][1])
+        assert record["m_used"] == (2999 if case.startswith("dropped") else 3000)
 
 
 @pytest.mark.parametrize("estimator", ["entropy", "slope"])
@@ -598,7 +605,8 @@ def _write_table(path, table):
 @pytest.mark.parametrize("refit_reverse", [False, True])
 @pytest.mark.parametrize("seed, d, noise", [(208, 1, 0.0), (209, 3, 0.0), (210, 4, 0.02), (211, 6, 0.01)])
 def test_tracedir_record_is_the_library_result_bit_for_bit(capsys, tmp_path, seed, d, noise, refit_reverse):
-    # tracedir fits in its own column-major copy of the columns; the library copies its arguments.
+    # tracedir fits in its own column-major copy of the columns; the library copies its arguments
+    # into the same layout, so a row-major table gives the same bits.
     rng = substream(seed)
     x = rng.standard_normal((500, d)) @ rng.standard_normal((d, d))
     y = x @ rng.standard_normal((d, d)).T + noise * rng.standard_normal((500, d))
@@ -609,7 +617,6 @@ def test_tracedir_record_is_the_library_result_bit_for_bit(capsys, tmp_path, see
     code, out, err = run_cli(capsys, *argv, *(["--refit-reverse"] if refit_reverse else []))
     assert code == EXIT_OK and err == ""
     (record,) = json_records(out)
-    table = np.asfortranarray(table)  # the layout tracedir fits in
     result = infer_linear_direction(MultiSample(table[:, :d]), MultiSample(table[:, d:]), refit_reverse)
     assert record["direction"] == result.direction.value
     assert (record["gap_xy"], record["gap_yx"], record["residual_rel"]) == (
@@ -750,6 +757,7 @@ def test_every_scale_gives_finite_json_or_one_data_error(capsys, tmp_path, comma
     argv = [a.format(table=path, manifest=tmp_path / "m.csv") for a in _SWEEP[command]]
     expected = None
     for k in [0, *range(-320, 301)]:
+        path.unlink(missing_ok=True)  # a new file: rewriting one just written can wait for its writeback
         path.write_text("".join("\t".join(f"{v:.17g}" for v in row) + "\n" for row in table * 10.0 ** k))
         code, out, err = run_cli(capsys, *argv)
         if code == EXIT_DATA:

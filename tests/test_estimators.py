@@ -253,8 +253,8 @@ def test_rising_rows_score_alike_in_a_rising_and_in_a_mixed_stack():
     assert np.array_equal(np.diff(back_y[2]), -np.diff(b[2])[::-1])
     assert np.array_equal(np.diff(back_x[2]), -np.diff(a[2])[::-1])
     for reference in (UNIFORM, GAUSSIAN):
-        rising = _score_stack({}, x[:2], y[:2], reference, SLOPE)
-        mixed = _score_stack({}, x, y, reference, SLOPE)
+        rising = _score_stack({}, (x[:2], y[:2]), reference, SLOPE)
+        mixed = _score_stack({}, (x, y), reference, SLOPE)
         assert all(np.array_equal(r, m[:2]) for r, m in zip(rising, mixed))
 
 
@@ -418,7 +418,7 @@ def test_stack_kernel_matches_one_pair_path(m, kinds, seed, reference, estimator
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         errors = {}
-        c_xy, m_used = _score_stack(errors, x, y, reference, estimator)
+        c_xy, m_used = _score_stack(errors, (x, y), reference, estimator)
     for i, (xi, yi) in enumerate(rows):
         want, want_error = _outcome(_oracle_score, xi, yi, reference, estimator)
         got_error = (type(errors[i]), str(errors[i])) if i in errors else None
@@ -434,7 +434,7 @@ def test_stack_kernel_matches_one_pair_path(m, kinds, seed, reference, estimator
         assert (report.c_xy, report.m_used) == want and type(report.c_xy) is float
     # `igci infer` scores the columns of the table it read in place, row- or column-major
     for table in (np.column_stack(rows[0]), np.asfortranarray(np.column_stack(rows[0]))):
-        report, error = _outcome(_score_pair, table[:, 0], table[:, 1], reference, estimator, True)
+        report, error = _outcome(_score_pair, (table[:, 0], table[:, 1]), reference, estimator, True)
         assert error == want_error
         if want_error is None:
             assert (report.c_xy, report.m_used) == want
@@ -507,7 +507,7 @@ def _score_rows(x, y, reference, estimator):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         errors = {}
-        return (*_score_stack(errors, x, y, reference, estimator), errors)
+        return (*_score_stack(errors, (x, y), reference, estimator), errors)
 
 
 @pytest.mark.parametrize("m", _STEP_SIZES)

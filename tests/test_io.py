@@ -1,5 +1,6 @@
 import gzip
 import json
+import math
 import os
 import threading
 import warnings
@@ -17,6 +18,7 @@ from igci import (
     DomainError,
     IgciError,
     LagAlignment,
+    ManifestEntry,
     SamplePair,
     align_lag,
     evaluate_manifest,
@@ -30,7 +32,7 @@ from igci import (
 import igci._fanout
 import igci.io
 from igci.cli import main
-from igci.io import _parse_lines, _parse_table
+from igci.io import _pair_columns, _pair_sides, _parse_lines, _parse_table
 from igci.simulation import substream
 
 
@@ -215,6 +217,7 @@ def _outcome(fn, *args):
 @given(text=_table_texts())
 def test_load_table_matches_the_line_parser(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "table.txt"
+    path.unlink(missing_ok=True)  # a new file: rewriting one just written can wait for its writeback
     path.write_bytes(text.encode("utf-8"))
     # read_text applies universal newlines, as the reader used to
     expected = _outcome(_parse_lines, path, path.read_text(encoding="utf-8"))
@@ -303,12 +306,10 @@ def test_load_table_same_size_rewrite_with_its_old_mtime_is_a_miss(tmp_path):
     assert len(_cache_files()) == 2
 
 
-@pytest.mark.parametrize("damage", ["truncated", "empty", "float32", "int64", "1-d", "row-major", "object"])
-def test_load_table_replaces_a_bad_cache_entry(tmp_path, monkeypatch, damage):
-    path = tmp_path / "t.tsv"
-    path.write_text("1 2\n3 4\n5 6\n")
-    expected = _keep(path)
-    entry = _entry(path)
+_DAMAGES = ["truncated", "empty", "float32", "int64", "1-d", "row-major", "object"]
+
+
+def _damage(entry: Path, table: np.ndarray, damage: str) -> None:
     if damage == "truncated":
         entry.write_bytes(entry.read_bytes()[:-5])
     elif damage == "empty":
@@ -316,13 +317,75 @@ def test_load_table_replaces_a_bad_cache_entry(tmp_path, monkeypatch, damage):
     elif damage == "object":
         np.save(entry, np.array([[1.0, None]], dtype=object), allow_pickle=True)
     else:
-        np.save(entry, {"float32": expected.astype(np.float32), "int64": expected.astype(np.int64),
-                        "1-d": expected.ravel(), "row-major": np.ascontiguousarray(expected)}[damage])
+        np.save(entry, {"float32": table.astype(np.float32), "int64": table.astype(np.int64),
+                        "1-d": table.ravel(), "row-major": np.ascontiguousarray(table)}[damage])
+
+
+@pytest.mark.parametrize("damage", _DAMAGES)
+def test_load_table_replaces_a_bad_cache_entry(tmp_path, monkeypatch, damage):
+    path = tmp_path / "t.tsv"
+    path.write_text("1 2\n3 4\n5 6\n")
+    expected = _keep(path)
+    entry = _entry(path)
+    _damage(entry, expected, damage)
     parsed = []
     monkeypatch.setattr(igci.io, "_parse_table", lambda p: parsed.append(p) or _parse_table(p))
     assert load_table(path).tobytes() == expected.tobytes()
     assert parsed == [path]
     assert np.load(entry, allow_pickle=False).tobytes() == expected.tobytes()  # overwritten
+
+
+def test_pair_sides_reads_the_kept_columns_one_at_a_time(tmp_path, monkeypatch):
+    path = tmp_path / "t.tsv"
+    rows = substream(121).standard_normal((300, 3))
+    np.savetxt(path, rows, fmt="%.17g")
+    _keep(path)
+    read = []
+    kept_column = igci.io._kept_column
+    monkeypatch.setattr(igci.io, "_kept_column", lambda kept, col: read.append(col) or kept_column(kept, col))
+    monkeypatch.setattr(igci.io, "_cached_table", _refuse)
+    monkeypatch.setattr(igci.io, "_parse_lines", _refuse)
+    monkeypatch.setattr(np, "loadtxt", _refuse)
+    sides = _pair_sides(path, 2, 0)
+    x = next(sides)
+    assert read == [0, 2] and x.tobytes() == rows[:, 2].tobytes()  # y is checked before x is handed out
+    del x
+    assert next(sides).tobytes() == rows[:, 0].tobytes() and read == [0, 2, 0]
+    assert next(sides, None) is None
+
+
+# (text, x_col, y_col): the kept route and each way back to load_pair's own.
+_SIDE_CASES = {
+    "kept": ("1 2 7\n3 5 8\n4 0 -1\n", 2, 1),
+    "one column": ("1 2\n3 5\n4 0\n", 1, 1),
+    "non-finite y": ("1 2\n3 nan\n4 0\n6 1\n", 0, 1),
+    "non-finite x": ("1 2\n-inf 5\n4 0\n6 1\n", 0, 1),
+    "missing column": ("1 2\n3 5\n4 0\n", 0, 2),
+    "negative column": ("1 2\n3 5\n4 0\n", -1, 0),
+    "two rows": ("1 2\n3 5\n", 0, 1),
+    "two usable rows": ("1 2\n3 nan\n4 0\n", 0, 1),
+    **{f"damaged entry, {damage}": ("1 2\n3 5\n4 0\n", 0, 1) for damage in _DAMAGES},
+}
+
+
+@pytest.mark.parametrize("case", list(_SIDE_CASES))
+def test_pair_sides_are_load_pairs_columns_on_every_read(tmp_path, case):
+    text, x_col, y_col = _SIDE_CASES[case]
+    path = tmp_path / "t.tsv"
+    path.write_text(text)
+
+    def read(sides):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _outcome(lambda: [side.tobytes() for side in sides()])
+        return got, [str(w.message) for w in caught]
+
+    expected = read(lambda: _pair_columns(path, _parse_table(path), x_col, y_col))
+    for attempt in range(3):
+        if attempt == 2 and case.startswith("damaged"):
+            _damage(_entry(path), load_table(path), case.split(", ")[1])
+        assert read(lambda: _pair_sides(path, x_col, y_col)) == expected, attempt
+        assert _cache_files() == ([] if attempt == 0 else [_entry(path).name])
 
 
 def test_load_table_with_a_file_in_place_of_the_cache_directory(tmp_path):
@@ -681,7 +744,8 @@ _MALFORMED_MANIFEST_ROWS = {
     "only, three, fields\n": "m.csv: entry 1: expected 4 to 6 fields, got 3",
     "a, p.tsv, 0, 1, sideways\n": "m.csv: entry 1: unknown truth 'sideways'",
     "a, p.tsv, zero, 1\n": "m.csv: entry 1: invalid literal for int",
-    "a, p.tsv, 0, 1, x->y, -2\n": "entry a: weight must be positive, got -2.0",
+    "a, p.tsv, 0, 1, x->y, -2\n": "m.csv: entry 1: weight must be positive, got -2.0",
+    "a, p.tsv, 0, 1, x->y, nan\n": "m.csv: entry 1: weight must be positive, got nan",
     "a, p.tsv, 0, 1, x->y, 1, extra\n": "m.csv: entry 1: expected 4 to 6 fields, got 7",
 }
 
@@ -691,6 +755,12 @@ def test_load_manifest_rejects_malformed_rows(tmp_path, line):
     (tmp_path / "m.csv").write_text(line)
     with pytest.raises(DataError, match=_MALFORMED_MANIFEST_ROWS[line]):
         load_manifest(tmp_path / "m.csv")
+
+
+def test_manifest_entry_refuses_a_weight_that_is_not_positive():
+    for weight in (0.0, -1.0, math.inf):
+        with pytest.raises(DataError, match=f"^weight must be positive, got {weight!r}$"):
+            ManifestEntry("a", Path("p.tsv"), 0, 1, weight=weight)
 
 
 def test_readme_manifest_example_loads(tmp_path):

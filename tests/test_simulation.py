@@ -298,9 +298,10 @@ def _recorded_blocks(monkeypatch, run):
     # One worker: a forked worker would append to its own copy of blocks.
     monkeypatch.setattr(igci._fanout, "_cpu_count", lambda: 1)
 
-    def recording(errors, x, y, reference, estimator):
+    def recording(errors, sides, reference, estimator):
+        x, y = sides
         blocks.append((x.copy(), y.copy()))
-        return score(errors, x, y, reference, estimator)
+        return score(errors, (x, y), reference, estimator)
 
     monkeypatch.setattr(sim, "_score_stack", recording)
     run()

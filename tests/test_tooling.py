@@ -159,14 +159,18 @@ def test_substream_is_the_only_function_that_builds_a_seed_sequence_or_philox():
 
 def test_text_becomes_a_table_only_in_io():
     # One module decides what a file's text means, and the cache it keeps is read and written
-    # beside that decision, so a parse rule and the cache format cannot drift apart.
+    # beside that decision, so a parse rule and the cache format cannot drift apart. An entry's
+    # header is checked in one place, and its values are read only by the whole-table and the
+    # column-at-a-time readers.
     callers = {}
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = f"{owner.split('.')[0]}.{node.name}"
         if isinstance(node, ast.Attribute) and ast.unparse(node) in (
-            "np.loadtxt", "np.load", "np.save", "np.lib.format.write_array_header_1_0"
+            "np.loadtxt", "np.load", "np.save", "np.fromfile", "np.memmap", "np.lib.format.read_magic",
+            "np.lib.format.read_array_header_1_0", "np.lib.format.read_array_header_2_0",
+            "np.lib.format.write_array_header_1_0",
         ):
             callers.setdefault(node.attr, set()).add(owner)
         for child in ast.iter_child_nodes(node):
@@ -176,7 +180,9 @@ def test_text_becomes_a_table_only_in_io():
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
     assert callers == {
         "loadtxt": {"io._parse_table"},
-        "load": {"io._cached_table"},
+        "read_magic": {"io._open_kept"},
+        "read_array_header_1_0": {"io._open_kept"},
+        "fromfile": {"io._cached_table", "io._kept_column"},
         "write_array_header_1_0": {"io._store_table"},
     }
 

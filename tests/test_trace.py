@@ -283,3 +283,18 @@ def test_infer_linear_direction_is_the_same_at_every_scale(refit_reverse):
                 )
             assert found.direction is expected.direction
             assert exact == expected
+
+
+@pytest.mark.parametrize("refit_reverse", [False, True])
+def test_infer_linear_direction_does_not_depend_on_the_input_layout(refit_reverse):
+    # The fit's rounding follows the memory order it works in, so it works in one order,
+    # `igci tracedir`'s column-major one, whatever the order of the caller's arrays.
+    rng = substream(214)
+    x = rng.standard_normal((5000, 10))
+    y = x @ rng.standard_normal((10, 10)).T + 0.01 * rng.standard_normal((5000, 10))
+    table = np.column_stack([x, y])
+    layouts = [table, np.asfortranarray(table), np.repeat(table, 2, axis=1)[:, ::2]]
+    results = [
+        infer_linear_direction(MultiSample(t[:, :10]), MultiSample(t[:, 10:]), refit_reverse) for t in layouts
+    ]
+    assert results[0] == results[1] == results[2]
