@@ -114,10 +114,11 @@ def _add_seed_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="base seed, a nonnegative integer (default: 0)")
 
 
-def _resolve_seed(args) -> int:
-    if args.seed < 0:
-        raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
-    return args.seed
+def _nonnegative(flag: str, value: int) -> int:
+    """value, which a command checks before it reads any file; a negative one is a usage error."""
+    if value < 0:
+        raise _UsageError(f"{flag} must be nonnegative, got {value}")
+    return value
 
 
 def _scoring(args) -> tuple:
@@ -179,16 +180,17 @@ def _parse_cols(text: str, flag: str) -> list:
     if fields == [""]:
         raise _UsageError(f"{flag} must name at least one column")
     try:
-        return [int(t) for t in fields]
+        return [_nonnegative(flag, int(t)) for t in fields]
     except ValueError:
         raise _UsageError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
 def _cmd_infer(args) -> int:
+    x_col, y_col = _nonnegative("--x-col", args.x_col), _nonnegative("--y-col", args.y_col)
     reference, estimator = _scoring(args)
     # The columns are igci's own, so the scoring works in them and copies no
     # sample; from a file's third read on they are read one at a time.
-    report = _score_pair(_pair_sides(args.file, args.x_col, args.y_col), reference, estimator, overwrite=True)
+    report = _score_pair(_pair_sides(args.file, x_col, y_col), reference, estimator)
     record = {
         "record": "pair",
         "id": args.id if args.id is not None else Path(args.file).name,
@@ -258,7 +260,7 @@ def _cell_record(tally, **labels) -> dict:
 def _cmd_simulate(args) -> int:
     _mode_flags(args, "--experiment", args.experiment, _SIMULATE_FLAGS)
     reference, estimator = _scoring(args)
-    seed = _resolve_seed(args)
+    seed = _nonnegative("--seed", args.seed)
     if args.experiment == "grid":
         noise = NoiseSpec(kind=NoiseKind(args.noise), lam=args.lam)
         tallies = run_grid(
@@ -321,9 +323,10 @@ def _cmd_tracedir(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    if args.max_lag is not None and args.max_lag < 0:  # refused before the file is read
-        raise _UsageError(f"max_lag must be nonnegative, got {args.max_lag}")
-    a, b = load_columns(args.file, (args.x_col, args.y_col))
+    cols = _nonnegative("--x-col", args.x_col), _nonnegative("--y-col", args.y_col)
+    if args.max_lag is not None:
+        _nonnegative("max_lag", args.max_lag)
+    a, b = load_columns(args.file, cols)
     max_lag = args.max_lag if args.max_lag is not None else max(1, min(a.size, b.size) // 10)
     alignment = align_lag(a, b, max_lag)
     if abs(alignment.correlation) < LOW_CORRELATION_WARN:
@@ -355,7 +358,7 @@ def _cmd_verify(args) -> int:
         raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     if args.m is not None and args.m < _FISHER_MIN_VALUES:
         raise _UsageError(f"--m must be at least {_FISHER_MIN_VALUES}, got {args.m}")
-    seed = _resolve_seed(args)
+    seed = _nonnegative("--seed", args.seed)
     records = []
     failed = False
     if args.check in ("kl-identity", "all"):

@@ -60,12 +60,11 @@ def _as_finite_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-def _unit_scale(arr: np.ndarray, out=None) -> np.ndarray:
-    """arr / 2**e, with 2**e just above the largest |entry| (arr itself when all are 0).
-    Exact unless a result is subnormal, and arr and each power-of-two multiple of it
-    that float64 holds exactly give the same array, bit for bit. out=arr scales arr in
-    place, and no |arr| temporary is made."""
-    return np.ldexp(arr, -np.frexp(max(arr.max(initial=0.0), -arr.min(initial=0.0)))[1], out=out)
+def _unit_scale(arr: np.ndarray) -> np.ndarray:
+    """arr / 2**e, 2**e just above the largest |entry| (none when all are 0), written over
+    arr and returned; no |arr| temporary is made. Exact unless a result is subnormal, and arr and
+    each power-of-two multiple of it that float64 holds exactly give the same array, bit for bit."""
+    return np.ldexp(arr, -np.frexp(max(arr.max(initial=0.0), -arr.min(initial=0.0)))[1], out=arr)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -130,25 +129,24 @@ def _one_row(stack_fn, *args):
 
 
 def _map_rows(
-    errors: dict, values: np.ndarray, reference: ReferenceFamily, out=None
+    errors: dict, values: np.ndarray, reference: ReferenceFamily
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values - shift) / scale for each row of an (n, m) stack, with shift, scale
-    = min, max - min for the uniform reference and mean, population std for the
-    Gaussian one. Returns (mapped, shift, scale); mapped is out, which may be values
-    itself, or else one fresh array, and values is written only as out."""
+    """(values - shift) / scale for each row of an (n, m) stack, written over values,
+    with shift, scale = min, max - min for the uniform reference and mean, population
+    std for the Gaussian one. Returns (values, shift, scale)."""
     lo, hi = values.min(axis=1), values.max(axis=1)
     if reference is ReferenceFamily.UNIFORM_UNIT:
         shift, scale, least = lo, hi - lo, 0.0
-        mapped = np.subtract(values, shift[:, None], out=out)
-        mapped /= scale[:, None]
+        values -= shift[:, None]
+        values /= scale[:, None]
     else:
         # Moments of values / 2**e, 2**e just above the largest |value|: exact, so normal
         # data maps bit for bit, and no square over- or underflows. A subnormal std lost digits.
         e = np.frexp(np.maximum(-lo, hi))[1][:, None]
-        mapped = np.ldexp(values, -e, out=out)
-        centre, spread = mapped.mean(axis=1, keepdims=True), mapped.std(axis=1, keepdims=True)
-        mapped -= centre
-        mapped /= spread
+        np.ldexp(values, -e, out=values)
+        centre, spread = values.mean(axis=1, keepdims=True), values.std(axis=1, keepdims=True)
+        values -= centre
+        values /= spread
         shift, scale, least = np.ldexp(centre, e)[:, 0], np.ldexp(spread, e)[:, 0], _FLOAT_TINY
     for i in np.flatnonzero(hi == lo).tolist():
         errors.setdefault(i, ConstantInputError("all values identical, the reference mapping is undefined"))
@@ -156,11 +154,11 @@ def _map_rows(
         errors.setdefault(i, DataError(
             f"value range {float(lo[i])!r} to {float(hi[i])!r} overflows or underflows "
             f"float64 in the {reference.value} reference mapping"))
-    return mapped, shift, scale
+    return values, shift, scale
 
 
 def _map_one(values, reference: ReferenceFamily):
-    arr = _as_finite_vector(values, "values")
+    arr = _as_finite_vector(np.array(values, dtype=np.float64), "values")  # one copy, mapped in place
     if arr.size == 0:
         raise DataError("cannot map an empty sample onto a reference")
     mapped, shift, scale = _one_row(_map_rows, arr[None], reference)

@@ -137,13 +137,13 @@ def _sort_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b
 
 
-def _slope_stat(errors: dict, dx: np.ndarray, dy: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _slope_stat(errors: dict, dx: np.ndarray, dy: np.ndarray, slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of two (n, m - 1) stacks of differences along sorted x:
-    (mean log |dy/dx|, retained count). The slopes are taken into out, which may be dy."""
+    (mean log |dy/dx|, retained count). The slopes are taken into slopes, which may be dy."""
     keep = dx != 0.0
     np.logical_and(keep, dy, out=keep)  # dy != 0.0, cast a block at a time: no second mask
     return _mean_logs(
-        errors, np.abs(np.divide(dy, dx, out=out), out=out), keep,
+        errors, np.abs(np.divide(dy, dx, out=slopes), out=slopes), keep,
         lambda: DataError("every consecutive pair had a zero difference"),
         lambda i: DataError(
             "mean log slope is not finite: dy/dx leaves the float range; the smallest "
@@ -172,20 +172,13 @@ def slope_criterion(x, y) -> float:
     return float(_one_row(_sorted_slope_stat, xa[None], ya[None])[0][0])
 
 
-def _mapped(errors: dict, values: np.ndarray, reference: ReferenceFamily, overwrite: bool) -> np.ndarray:
-    """An (n, m) stack mapped onto reference, into itself when overwrite is true."""
-    return _map_rows(errors, values, reference, values if overwrite else None)[0]
-
-
-def _slope_sides(
-    errors: dict, x: np.ndarray, y: np.ndarray, reference: ReferenceFamily, overwrite: bool
-) -> tuple[np.ndarray, ...]:
+def _slope_sides(errors: dict, sides, reference: ReferenceFamily) -> tuple[np.ndarray, ...]:
     """(forward, kept_f, backward, kept_b): _slope_stat of each row pair of two
-    (n, m) stacks, mapped onto reference, along sorted x and along sorted y. The
-    stacks are mapped here, into themselves when overwrite is true, so this frame
-    holds the only reference to each mapped copy and can drop it once it is spent."""
-    x = _mapped(errors, x, reference, overwrite)
-    y = _sort_pairs(x, _mapped(errors, y, reference, overwrite))
+    (n, m) stacks, x's then y's from the iterator sides, mapped onto reference in
+    place, along sorted x and along sorted y. Each stack is pulled from sides here,
+    not passed in, so no argument keeps y's alive once its pairs are in x order."""
+    x = _map_rows(errors, next(sides), reference)[0]
+    y = _sort_pairs(x, _map_rows(errors, next(sides), reference)[0])
     dy = np.diff(y, axis=1)
     if (dy > 0.0).all():
         # y rises along x in every row, so the x order sorts y too and the
@@ -202,30 +195,24 @@ def _slope_sides(
     return *forward, *_sorted_slope_stat(errors, y, x)
 
 
-def _score_stack(
-    errors: dict,
-    sides,
-    reference: ReferenceFamily,
-    estimator: EstimatorKind,
-    overwrite: bool = False,
-):
+def _score_stack(errors: dict, sides, reference: ReferenceFamily, estimator: EstimatorKind):
     """(c_xy, m_used) of each row pair of two (n, m) stacks, x's then y's in the
     iterable sides, as igci_score scores one pair. A row's error is the first of
     x preprocessing, y preprocessing, the x side and the y side; its c_xy and
-    m_used are void. The entropy route asks for y only once x is reduced and
-    released, so a lazy sides holds one stack at a time; the slope route takes
-    both. The stacks are written only with overwrite=True, which gives each to
-    the scoring as its working memory: it must share memory with no other."""
+    m_used are void. Each stack is the scoring's working memory: it is mapped,
+    sorted and overwritten, so it must share memory with no other. The entropy
+    route asks for y only once x is reduced and released, so a lazy sides holds
+    one stack at a time; the slope route takes both."""
     sides = iter(sides)
     with np.errstate(all="ignore"):
         if estimator is EstimatorKind.ENTROPY_SPACING:
             # One side at a time, so only one mapped stack is alive. A side fails
             # only on a constant row or a gap beyond float64, which a row that maps
             # cleanly cannot have, so no side error comes before a y mapping error.
-            s_x, kept_x = _spacing_stat(errors, _mapped(errors, next(sides), reference, overwrite))
-            s_y, kept_y = _spacing_stat(errors, _mapped(errors, next(sides), reference, overwrite))
+            s_x, kept_x = _spacing_stat(errors, _map_rows(errors, next(sides), reference)[0])
+            s_y, kept_y = _spacing_stat(errors, _map_rows(errors, next(sides), reference)[0])
             return s_y - s_x, np.minimum(kept_x, kept_y) + 1
-        forward, kept_f, backward, kept_b = _slope_sides(errors, *sides, reference, overwrite)
+        forward, kept_f, backward, kept_b = _slope_sides(errors, sides, reference)
         # Half the difference: the reverse term compensates the divergence
         # both terms share once noise makes the relation non-functional.
         return (forward - backward) / 2.0, np.minimum(kept_f, kept_b) + 1
@@ -237,13 +224,13 @@ def _direction(c_xy: float) -> Direction:
     return Direction.Y_TO_X if c_xy > DECISION_TOL else Direction.UNDECIDED
 
 
-def _score_pair(sides, reference: ReferenceFamily, estimator: EstimatorKind, overwrite: bool = False) -> IgciReport:
+def _score_pair(sides, reference: ReferenceFamily, estimator: EstimatorKind) -> IgciReport:
     """The report on the two 1-D float64 samples of one finite pair, x's then
-    y's in the iterable sides, as _score_stack scores them; sides and overwrite
-    as there. c_yx is 0.0 - c_xy, which is -c_xy for every nonzero score and
+    y's in the iterable sides, as _score_stack scores them, in the samples
+    themselves. c_yx is 0.0 - c_xy, which is -c_xy for every nonzero score and
     0.0, not -0.0, for a zero one."""
     # map holds no side it has handed on, so a lazy sides keeps its one-at-a-time promise.
-    c_xy, m_used = _one_row(_score_stack, map(np.atleast_2d, sides), reference, estimator, overwrite)
+    c_xy, m_used = _one_row(_score_stack, map(np.atleast_2d, sides), reference, estimator)
     c_xy = float(c_xy[0])
     return IgciReport(c_xy, 0.0 - c_xy, _direction(c_xy), int(m_used[0]))
 
@@ -259,4 +246,5 @@ def igci_score(
     The report carries the signed score both ways round, with c_yx = -c_xy
     by construction.
     """
-    return _score_pair((pair.x, pair.y), reference, estimator)
+    # Each side is copied only when the scoring asks for it, and scored in its copy.
+    return _score_pair((np.array(s) for s in (pair.x, pair.y)), reference, estimator)

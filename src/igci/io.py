@@ -379,8 +379,9 @@ def _kept_column(kept: tuple, col: int) -> np.ndarray:
 
 def _pair_sides(path, x_col: int, y_col: int):
     """x's sample, then y's: load_pair's two columns, as `igci infer` scores
-    them. Each is the caller's own and shares memory with no other, so the
-    scoring may work in it; errors and the warning are _pair_columns's.
+    them, in place. Each is the caller's own and shares memory with no other
+    (y is a copy when both name one column), so the scoring may overwrite it;
+    errors and the warning are _pair_columns's.
 
     From a file's third read on, the kept entry's header is read once and
     each column is read from its offset when it is asked for: y's, to check
@@ -503,8 +504,8 @@ def align_lag(a, b, max_lag: int) -> LagAlignment:
     One FFT pass bounds |r| for every lag in O(n log n); only the lags
     that may win are then scored exactly with np.corrcoef.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = np.array(a, dtype=np.float64)  # copies, which _unit_scale scales in place
+    b = np.array(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1:
         raise DataError("series must be one-dimensional")
     for name, series in (("a", a), ("b", b)):

@@ -34,7 +34,7 @@ _MAX_CONDITION = 1e12
 
 
 def _square(matrix, name: str) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=np.float64)
+    arr = np.array(matrix, dtype=np.float64)  # a copy, which trace_gap scales in place
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise DataError(f"{name} must be square and non-empty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -118,7 +118,7 @@ def _infer_in_place(x_c: np.ndarray, y_c: np.ndarray, refit_reverse: bool) -> Li
     if d != d_y:
         raise DataError(f"x is {d}-dimensional, y is {d_y}-dimensional")
     for v in (x_c, y_c):
-        _unit_scale(v, out=v)
+        _unit_scale(v)
         v -= v.mean(axis=0)
     sigma_x = x_c.T @ x_c / m
     sigma_y = y_c.T @ y_c / m

@@ -731,6 +731,26 @@ def test_align_negative_max_lag_is_usage(capsys, tmp_path):
         assert (code, out, err) == (EXIT_USAGE, "", "igci: error: max_lag must be nonnegative, got -2\n")
 
 
+@pytest.mark.parametrize(
+    "argv, flag, col",
+    [
+        (["infer", "{file}", "--x-col", "-1"], "--x-col", -1),
+        (["infer", "{file}", "--y-col", "-3"], "--y-col", -3),
+        (["align", "{file}", "--x-col", "-1"], "--x-col", -1),
+        (["align", "{file}", "--y-col", "-2"], "--y-col", -2),
+        (["tracedir", "{file}", "--x-cols", "-1", "--y-cols", "1"], "--x-cols", -1),
+        (["tracedir", "{file}", "--x-cols", "0", "--y-cols", "1,-2"], "--y-cols", -2),
+    ],
+)
+def test_negative_column_flag_is_usage_before_the_file_is_read(capsys, tmp_path, argv, flag, col):
+    path = tmp_path / "s.tsv"
+    path.write_text("".join(f"{v} {v * v} {v ** 3}\n" for v in range(30)))
+    # Exit 1 for a missing file too: the flag is refused before the file is opened.
+    for file in (path, tmp_path / "missing.tsv"):
+        code, out, err = run_cli(capsys, *(str(file) if a == "{file}" else a for a in argv))
+        assert (code, out, err) == (EXIT_USAGE, "", f"igci: error: {flag} must be nonnegative, got {col}\n")
+
+
 # ------------------------------------------------------------------ scale sweep
 
 _SWEEP = {

@@ -253,8 +253,8 @@ def test_rising_rows_score_alike_in_a_rising_and_in_a_mixed_stack():
     assert np.array_equal(np.diff(back_y[2]), -np.diff(b[2])[::-1])
     assert np.array_equal(np.diff(back_x[2]), -np.diff(a[2])[::-1])
     for reference in (UNIFORM, GAUSSIAN):
-        rising = _score_stack({}, (x[:2], y[:2]), reference, SLOPE)
-        mixed = _score_stack({}, (x, y), reference, SLOPE)
+        rising = _score_stack({}, (x[:2].copy(), y[:2].copy()), reference, SLOPE)
+        mixed = _score_stack({}, (x.copy(), y.copy()), reference, SLOPE)
         assert all(np.array_equal(r, m[:2]) for r, m in zip(rising, mixed))
 
 
@@ -434,7 +434,7 @@ def test_stack_kernel_matches_one_pair_path(m, kinds, seed, reference, estimator
         assert (report.c_xy, report.m_used) == want and type(report.c_xy) is float
     # `igci infer` scores the columns of the table it read in place, row- or column-major
     for table in (np.column_stack(rows[0]), np.asfortranarray(np.column_stack(rows[0]))):
-        report, error = _outcome(_score_pair, (table[:, 0], table[:, 1]), reference, estimator, True)
+        report, error = _outcome(_score_pair, (table[:, 0], table[:, 1]), reference, estimator)
         assert error == want_error
         if want_error is None:
             assert (report.c_xy, report.m_used) == want
@@ -519,7 +519,8 @@ def test_stack_kernel_matches_one_pair_path_across_difference_steps(m, reference
     mixed = _score_rows(np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), reference, estimator)
     for i, (xi, yi) in enumerate(rows):
         want, want_error = _outcome(_oracle_score, xi, yi, reference, estimator)
-        alone = _score_rows(xi[None], yi[None], reference, estimator)  # a rising row alone reuses its order
+        # a rising row alone reuses its order; xi and yi are read again below, so it gets copies
+        alone = _score_rows(xi[None].copy(), yi[None].copy(), reference, estimator)
         for (c_xy, m_used, errors), row in ((mixed, i), (alone, 0)):
             assert ((type(errors[row]), str(errors[row])) if row in errors else None) == want_error
             if want_error is None:

@@ -1,8 +1,8 @@
 """Caller arrays and working memory.
 
 No public numeric function writes to the arrays it is given, the scalar
-scoring routes, load_pair and `igci infer` hold a bounded number of
-sample-length buffers, and the linear fit a bounded share of its input.
+scoring routes, the stack kernel, load_pair and `igci infer` hold a bounded
+number of sample-length buffers, and the linear fit a bounded share of its input.
 """
 
 import tracemalloc
@@ -34,6 +34,7 @@ from igci import (
     write_pair,
 )
 from igci.cli import main
+from igci.estimators import _score_stack
 from igci.simulation import substream
 from igci.trace import _infer_in_place
 
@@ -154,6 +155,30 @@ def test_scoring_holds_a_bounded_number_of_sample_buffers(reference, estimator, 
     assert _peak_buffers(igci_score, pair, reference, estimator) <= bound
 
 
+# `igci simulate` hands _score_stack stacks it owns, and the scoring works in them; only
+# what it adds counts. Each bound sits just above the value reached: 0.13 (uniform entropy:
+# one keep mask), 1.00 (Gaussian entropy: the std's deviations), 2.14 (rising slope: the x
+# order and the copy np.take makes) and 3.14 (noisy slope: y in x order, its differences
+# and x's). Mapping into fresh copies would add one buffer per stack alive.
+_STACK_BOUNDS = [
+    (UNIFORM, ENTROPY, "rising", 0.15),
+    (GAUSSIAN, ENTROPY, "rising", 1.05),
+    (UNIFORM, ENTROPY, "noisy", 0.15),
+    (GAUSSIAN, ENTROPY, "noisy", 1.05),
+    (UNIFORM, SLOPE, "rising", 2.15),
+    (GAUSSIAN, SLOPE, "rising", 2.15),
+    (UNIFORM, SLOPE, "noisy", 3.15),
+    (GAUSSIAN, SLOPE, "noisy", 3.15),
+]
+
+
+@pytest.mark.parametrize("reference, estimator, shape, bound", _STACK_BOUNDS)
+def test_scoring_stacks_the_caller_owns_adds_only_its_working_buffers(reference, estimator, shape, bound):
+    pair = _pair(shape)
+    x, y = np.array(pair.x)[None], np.array(pair.y)[None]
+    assert _peak_buffers(_score_stack, {}, (x, y), reference, estimator) <= bound
+
+
 # spacing_entropy copies its sample and works in place: 1.13 buffers.
 # slope_criterion copies x and takes y in x order, then works in place: 3.00.
 @pytest.mark.parametrize("shape", ["rising", "noisy"])
@@ -168,19 +193,22 @@ def test_public_statistics_hold_a_bounded_number_of_sample_buffers(shape):
 # keeps its table column-major, and the third reads the kept columns one at a time. Third-
 # read bounds sit just above the values reached: the entropy route holds one column while
 # it scores it, plus 0.13 (uniform: one keep mask) or 1.01 (Gaussian: the std's
-# deviations); the slope route takes both columns, as the table held them, plus 2.14
-# (rising) and 3.14 (noisy), each _SCORE_BOUNDS reading less the two mapped copies. A
-# second read adds np.loadtxt's chunks and the one column that keeping the table copies.
-# Its bounds are the readings of scoring through copies instead: 3.13, 4.01, 6.01 and 6.14.
+# deviations); the slope route holds both columns while it takes the pairs in x order,
+# plus the order and the copy np.take makes, and drops y's column once that is done:
+# 4.01 (rising) and 4.15 (noisy, where y in x order, its differences and x's take the
+# freed place). A second read adds np.loadtxt's chunks and the one column that keeping
+# the table copies; its entropy bounds are the readings of scoring through copies instead,
+# 3.13 and 4.01. Its slope route scores in views of the parsed table, which x's view keeps
+# alive to the end, so dropping y frees nothing there: 5.01 (rising) and 6.01 (noisy).
 _INFER_BOUNDS = [
     (UNIFORM, ENTROPY, "rising", 3.15, 1.15),
     (GAUSSIAN, ENTROPY, "rising", 4.05, 2.05),
     (UNIFORM, ENTROPY, "noisy", 3.15, 1.15),
     (GAUSSIAN, ENTROPY, "noisy", 4.05, 2.05),
-    (UNIFORM, SLOPE, "rising", 6.05, 4.15),
-    (GAUSSIAN, SLOPE, "rising", 6.05, 4.15),
-    (UNIFORM, SLOPE, "noisy", 6.15, 5.15),
-    (GAUSSIAN, SLOPE, "noisy", 6.15, 5.15),
+    (UNIFORM, SLOPE, "rising", 5.05, 4.05),
+    (GAUSSIAN, SLOPE, "rising", 5.05, 4.05),
+    (UNIFORM, SLOPE, "noisy", 6.05, 4.16),
+    (GAUSSIAN, SLOPE, "noisy", 6.05, 4.16),
 ]
 
 

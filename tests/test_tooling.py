@@ -321,17 +321,14 @@ def test_the_library_and_tracedir_share_one_fit_path():
 
 
 def test_the_library_and_infer_share_one_scoring_entry():
-    # igci_score and `igci infer` report through _score_pair, so a report is built one way;
-    # only `infer`, which owns the columns it has just read, lets the scoring write to them.
-    uses, overwrites = {}, set()
+    # igci_score and `igci infer` report through _score_pair, so a report is built one way.
+    uses = {}
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = f"{owner.split('.')[0]}.{node.name}"
         if isinstance(node, ast.Call):
             uses.setdefault(ast.unparse(node.func), set()).add(owner)
-            if any(kw.arg == "overwrite" and ast.unparse(kw.value) != "False" for kw in node.keywords):
-                overwrites.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
@@ -339,4 +336,17 @@ def test_the_library_and_infer_share_one_scoring_entry():
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
     assert uses.get("_score_pair") == {"estimators.igci_score", "cli._cmd_infer"}
     assert uses["IgciReport"] == {"estimators._score_pair"}
-    assert overwrites == {"cli._cmd_infer"}
+
+
+def test_no_function_takes_a_switch_for_writing_its_input():
+    # A private kernel always works in the arrays it is handed and a public function
+    # copies once at its boundary, so no function says whether it may write: no `out`
+    # or `overwrite` parameter.
+    switches = []
+    for path in sorted((ROOT / "src" / "igci").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                switches += [f"{path.stem}.{getattr(node, 'name', 'lambda')}({p.arg})"
+                             for p in params if p.arg in ("out", "overwrite")]
+    assert switches == []
