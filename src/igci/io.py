@@ -325,49 +325,32 @@ def load_table(path) -> np.ndarray:
     return _read_table(path, _kept_entry(path))
 
 
-def _columns(path, table: np.ndarray, cols: Sequence[int]) -> tuple:
-    """load_columns's columns of a table read from path."""
-    ncols = table.shape[1]
+def _check_columns(path, ncols: int, cols: Sequence[int]) -> None:
+    """DataError naming the first of cols that rows of ncols columns do not have."""
     for col in cols:
         if not 0 <= col < ncols:
             raise DataError(f"{path}: column {col} not present (rows have {ncols} columns)")
-    return tuple(table[:, col] for col in cols)
 
 
 def load_columns(path, cols: Sequence[int]) -> tuple:
-    """Read a table and return the chosen columns, in the order given, as
-    1-D views of the one parsed table: nothing is copied.
+    """Read a whole table and return the chosen columns, in the order given,
+    as 1-D views of that one table: nothing is copied.
 
     Raises DataError naming the first column the rows do not have.
     """
-    return _columns(path, load_table(path), cols)
-
-
-def _pair_columns(path, table: np.ndarray, x_col: int, y_col: int) -> tuple:
-    """load_pair's two columns of a table read from path, as arrays: views of
-    the table, or fresh copies when rows were dropped. The warning points at
-    load_pair's caller."""
-    x, y = _columns(path, table, (x_col, y_col))
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):  # one mask alive at a time
-        keep = np.isfinite(x)
-        keep &= np.isfinite(y)
-        dropped = int(keep.size - np.count_nonzero(keep))
-        warnings.warn(f"{path}: dropped {dropped} rows with non-finite values", stacklevel=3)
-        x = x[keep]
-        y = y[keep]
-    if x.size < 3:
-        raise DataError(f"{path}: only {x.size} usable rows")
-    return x, y
+    table = load_table(path)
+    _check_columns(path, table.shape[1], cols)
+    return tuple(table[:, col] for col in cols)
 
 
 def load_pair(path, x_col: int = 0, y_col: int = 1) -> SamplePair:
-    """Load two columns as a SamplePair.
+    """Load two columns as a SamplePair, read as `igci infer` reads its file.
 
     Rows with a non-finite value in either chosen column are dropped; a
     single warning reports how many. Raises DataError when a column is
     missing or fewer than 3 usable rows remain.
     """
-    return SamplePair(*_pair_columns(path, load_table(path), x_col, y_col))
+    return SamplePair(*_pair_sides(path, x_col, y_col))
 
 
 def _kept_column(kept: tuple, col: int) -> np.ndarray:
@@ -378,38 +361,46 @@ def _kept_column(kept: tuple, col: int) -> np.ndarray:
 
 
 def _pair_sides(path, x_col: int, y_col: int):
-    """x's sample, then y's: load_pair's two columns, as `igci infer` scores
-    them, in place. Each is the caller's own and shares memory with no other
-    (y is a copy when both name one column), so the scoring may overwrite it;
-    errors and the warning are _pair_columns's.
+    """x's sample, then y's: the one reader of a pair's two columns, behind
+    load_pair and `igci infer`, which scores them in place. Each is the
+    caller's own and shares memory with no other (y is a copy of x when both
+    name one column), so the scoring may overwrite it. The warning points at
+    load_pair's caller.
 
     From a file's third read on, the kept entry's header is read once and
     each column is read from its offset when it is asked for: y's, to check
     that it is finite, then x's, then y's again. So a caller that drops x
-    before it asks for y holds one column at a time. A non-finite value, a
-    first or second read, or an entry that cannot serve the pair takes
-    _pair_columns's route through the whole table.
+    before it asks for y holds one column at a time. On a first or second
+    read, or when the entry cannot be used, the columns are views of the
+    parsed table. Dropping rows with a non-finite value copies both columns.
     """
     path = Path(path)
     entry = _kept_entry(path)
     kept = _open_kept(entry) if entry else None
-    if kept is not None:
-        handle, (rows, ncols), _ = kept
-        with handle:
-            usable = rows >= 3 and 0 <= x_col < ncols and 0 <= y_col < ncols
-            if usable and np.isfinite(_kept_column(kept, y_col)).all():
-                x = _kept_column(kept, x_col)
-                if np.isfinite(x).all():
-                    yield x
-                    del x  # the caller has reduced x before it asks for y
-                    yield _kept_column(kept, y_col)
-                    return
-                del x
-    x, y = _pair_columns(path, _read_table(path, entry), x_col, y_col)
-    if np.shares_memory(x, y):  # one column named twice: scoring x in place must leave y as read
-        y = y.copy()
-    yield x
-    yield y
+    if kept is None:
+        table = _read_table(path, entry)
+        ncols, column = table.shape[1], lambda col: table[:, col]
+    else:
+        ncols, column = kept[1][1], lambda col: _kept_column(kept, col)
+    with kept[0] if kept else contextlib.nullcontext():
+        _check_columns(path, ncols, (x_col, y_col))
+        finite = np.isfinite(column(y_col)).all()
+        x, y = column(x_col), None
+        if not (finite and np.isfinite(x).all()):
+            y = column(y_col)
+            keep = np.isfinite(x)
+            keep &= np.isfinite(y)
+            dropped = int(keep.size - np.count_nonzero(keep))
+            warnings.warn(f"{path}: dropped {dropped} rows with non-finite values", stacklevel=3)
+            x = x[keep]
+            y = y[keep]
+        elif x_col == y_col:  # scoring x in place must leave y as read
+            y = x.copy()
+        if x.size < 3:
+            raise DataError(f"{path}: only {x.size} usable rows")
+        yield x
+        del x  # the caller has reduced x before it asks for y
+        yield column(y_col) if y is None else y
 
 
 def write_pair(path, pair: SamplePair) -> None:

@@ -201,8 +201,8 @@ def test_infer_stdout_on_a_noisy_pair_matches_its_digest(capsys, tmp_path, estim
 
 
 # A file's first read scores views of np.loadtxt's row-major table, in place unless both
-# flags name one column. A read from its third on reads the kept columns one at a time, or,
-# with a non-finite value in either, scores the kept column-major table.
+# flags name one column. A read from its third on reads the kept columns one at a time;
+# with a non-finite value in either, it scores copies of their finite rows.
 @pytest.mark.parametrize("estimator", ["entropy", "slope"])
 @pytest.mark.parametrize("reference", ["uniform", "gaussian"])
 @pytest.mark.parametrize("case", ["noisy", "dropped-row", "dropped-x-row", "one-column", "swapped-csv", "tsv"])
@@ -496,6 +496,43 @@ def test_pairs_empty_manifest_is_a_data_error(capsys, tmp_path):
     (tmp_path / "m.csv").write_text("# no entries\n")
     code, _, err = run_cli(capsys, "pairs", str(tmp_path / "m.csv"))
     assert code == EXIT_DATA and "data error" in err
+
+
+# `pairs` reads each entry as `infer` reads its file: views of the parsed table on a
+# file's first and second read, the kept columns one at a time from its third. One
+# file serves several entries, so within a run it is read once, twice and three times.
+@pytest.mark.parametrize("estimator", ["entropy", "slope"])
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_pairs_stdout_is_the_same_on_a_first_read_and_a_re_read(capsys, tmp_path, estimator, fmt):
+    rng = substream(208)
+    x = rng.random(3000)
+    table = np.column_stack([x, np.sqrt(x) + 0.1 * rng.standard_normal(3000)])
+    np.savetxt(tmp_path / "pair.tsv", table, fmt="%.17g", delimiter="\t")
+    for name, row, col, value in (("dropped-y.tsv", 17, 1, np.nan), ("dropped-x.tsv", 17, 0, -np.inf)):
+        dropped = table.copy()
+        dropped[row, col] = value
+        np.savetxt(tmp_path / name, dropped, fmt="%.17g", delimiter="\t")
+    swapped = np.column_stack([table[:, 1], rng.random(3000), table[:, 0]])
+    np.savetxt(tmp_path / "swapped.csv", swapped, fmt="%.17g", delimiter=",")
+    (tmp_path / "two.tsv").write_text("1 2\n3 nan\n4 0\n")
+    (tmp_path / "m.csv").write_text(
+        "plain, pair.tsv, 0, 1, x->y\n"
+        "dropped-y, dropped-y.tsv, 0, 1, x->y\n"
+        "dropped-x, dropped-x.tsv, 0, 1, x->y\n"
+        "one-column, pair.tsv, 0, 0\n"
+        "swapped, swapped.csv, 2, 0, x->y\n"
+        "missing, pair.tsv, 0, 2\n"
+        "two-rows, two.tsv, 0, 1\n"
+    )
+    argv = ["pairs", str(tmp_path / "m.csv"), "--estimator", estimator, "--format", fmt]
+    runs = [run_cli(capsys, *argv) for _ in range(3)]
+    assert runs[0][0] == EXIT_OK and runs[1] == runs[0] and runs[2] == runs[0]
+    assert runs[0][2].count("dropped 1 rows with non-finite values") == 3
+    assert len(list(Path(os.environ["XDG_CACHE_HOME"], "igci", "tables").glob("*.npy"))) == 5
+    if fmt == "json":
+        _, *reports, _ = json_records(runs[0][1])
+        assert [r["m_used"] for r in reports] == [3000, 2999, 2999, 3000, 3000, None, None]
+        assert "column 2 not present" in reports[5]["error"] and "only 2 usable rows" in reports[6]["error"]
 
 
 # -------------------------------------------------------------------- tracedir

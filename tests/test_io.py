@@ -32,7 +32,7 @@ from igci import (
 import igci._fanout
 import igci.io
 from igci.cli import main
-from igci.io import _pair_columns, _pair_sides, _parse_lines, _parse_table
+from igci.io import _pair_sides, _parse_lines, _parse_table
 from igci.simulation import substream
 
 
@@ -354,13 +354,15 @@ def test_pair_sides_reads_the_kept_columns_one_at_a_time(tmp_path, monkeypatch):
     assert next(sides, None) is None
 
 
-# (text, x_col, y_col): the kept route and each way back to load_pair's own.
+# (text, x_col, y_col): the kept route and each way off it.
 _SIDE_CASES = {
     "kept": ("1 2 7\n3 5 8\n4 0 -1\n", 2, 1),
     "one column": ("1 2\n3 5\n4 0\n", 1, 1),
+    "one column, non-finite row": ("1 2\n3 nan\n4 0\n6 1\n", 1, 1),
     "non-finite y": ("1 2\n3 nan\n4 0\n6 1\n", 0, 1),
     "non-finite x": ("1 2\n-inf 5\n4 0\n6 1\n", 0, 1),
     "missing column": ("1 2\n3 5\n4 0\n", 0, 2),
+    "both columns missing": ("1 2\n3 5\n4 0\n", 3, 2),
     "negative column": ("1 2\n3 5\n4 0\n", -1, 0),
     "two rows": ("1 2\n3 5\n", 0, 1),
     "two usable rows": ("1 2\n3 nan\n4 0\n", 0, 1),
@@ -368,23 +370,35 @@ _SIDE_CASES = {
 }
 
 
+def _expected_sides(path, x_col: int, y_col: int) -> tuple:
+    """What reading the pair gives, worked out from np.loadtxt's table: the
+    two sides' bytes or the error, and the warnings' texts."""
+    table = np.loadtxt(path, ndmin=2)
+    ncols = table.shape[1]
+    for col in (x_col, y_col):
+        if not 0 <= col < ncols:
+            return (DataError, f"{path}: column {col} not present (rows have {ncols} columns)"), []
+    keep = np.isfinite(table[:, x_col]) & np.isfinite(table[:, y_col])
+    dropped = int(np.sum(~keep))
+    caught = [f"{path}: dropped {dropped} rows with non-finite values"] if dropped else []
+    if keep.sum() < 3:
+        return (DataError, f"{path}: only {keep.sum()} usable rows"), caught
+    return [table[keep, x_col].tobytes(), table[keep, y_col].tobytes()], caught
+
+
 @pytest.mark.parametrize("case", list(_SIDE_CASES))
 def test_pair_sides_are_load_pairs_columns_on_every_read(tmp_path, case):
     text, x_col, y_col = _SIDE_CASES[case]
     path = tmp_path / "t.tsv"
     path.write_text(text)
-
-    def read(sides):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = _outcome(lambda: [side.tobytes() for side in sides()])
-        return got, [str(w.message) for w in caught]
-
-    expected = read(lambda: _pair_columns(path, _parse_table(path), x_col, y_col))
+    expected = _expected_sides(path, x_col, y_col)
     for attempt in range(3):
         if attempt == 2 and case.startswith("damaged"):
             _damage(_entry(path), load_table(path), case.split(", ")[1])
-        assert read(lambda: _pair_sides(path, x_col, y_col)) == expected, attempt
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _outcome(lambda: [side.tobytes() for side in _pair_sides(path, x_col, y_col)])
+        assert (got, [str(w.message) for w in caught]) == expected, attempt
         assert _cache_files() == ([] if attempt == 0 else [_entry(path).name])
 
 

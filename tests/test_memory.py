@@ -222,11 +222,23 @@ def test_infer_scores_in_the_table_it_reads(tmp_path, capsys, reference, estimat
     assert len(set(capsys.readouterr().out.splitlines())) == 1
 
 
+# load_pair reads as `igci infer` does. On a file's first read it returns views of the
+# parsed table: two buffers for two columns, with np.loadtxt's own chunks on top.
 def test_load_pair_returns_views_of_the_one_table(tmp_path):
     path = tmp_path / "pair.tsv"
     write_pair(path, _pair("noisy"))
-    # The two-column table is two buffers; np.loadtxt's own chunks come on top.
     assert _peak_buffers(load_pair, path) <= 2.5
+
+
+# From a file's third read on, load_pair reads only its two columns from the kept table,
+# however wide the file: 2.13 buffers on three columns (the pair and one finite check's
+# mask), where loading the whole kept table reads 3.13.
+def test_load_pair_reads_only_its_two_columns_from_the_kept_table(tmp_path):
+    path = tmp_path / "pair.tsv"
+    pair = _pair("noisy")
+    np.savetxt(path, np.column_stack([pair.x, pair.y, pair.x]), fmt="%.17g", delimiter="\t")
+    peaks = [_peak_buffers(load_pair, path, 2, 1) for _ in range(3)]
+    assert peaks[2] <= 2.15
 
 
 # In input sizes: x and y together are six sample buffers. The in-place fit's one working

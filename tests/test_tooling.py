@@ -338,6 +338,27 @@ def test_the_library_and_infer_share_one_scoring_entry():
     assert uses["IgciReport"] == {"estimators._score_pair"}
 
 
+def test_load_pair_and_infer_share_one_pair_reader():
+    # load_pair and `igci infer` read a pair through _pair_sides, so its columns are
+    # checked, its non-finite rows dropped and its rows counted one way.
+    uses = {}
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Call):
+            uses.setdefault(ast.unparse(node.func), set()).add(owner)
+        elif isinstance(node, ast.Raise) and "not present" in ast.unparse(node):
+            uses.setdefault("raise not present", set()).add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in (ROOT / "src" / "igci").glob("*.py"):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert uses.get("_pair_sides") == {"io.load_pair", "cli._cmd_infer"}
+    assert uses["raise not present"] == {"io._check_columns"}
+
+
 def test_no_function_takes_a_switch_for_writing_its_input():
     # A private kernel always works in the arrays it is handed and a public function
     # copies once at its boundary, so no function says whether it may write: no `out`
