@@ -28,7 +28,6 @@ __all__ = [
     "normalize_uniform",
     "standardize_gaussian",
     "digamma",
-    "discrete_kl",
     "kl_additivity_gap",
 ]
 
@@ -218,7 +217,7 @@ def _as_probability_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-def discrete_kl(p, q) -> float:
+def _discrete_kl(p, q) -> float:
     """Kullback-Leibler divergence sum(p * log(p / q)) over a shared support.
 
     Zero p entries contribute nothing; a positive p entry where q is zero
@@ -253,7 +252,7 @@ def kl_additivity_gap(q, r, s) -> tuple[float, float]:
         raise DataError("q, r, s must share one support")
     if np.any(rv == 0.0) or np.any(sv == 0.0):
         raise DataError("r and s must be strictly positive")
-    via_divergences = discrete_kl(qv, sv) - discrete_kl(qv, rv) - discrete_kl(rv, sv)
+    via_divergences = _discrete_kl(qv, sv) - _discrete_kl(qv, rv) - _discrete_kl(rv, sv)
     log_ratio = np.log(rv) - np.log(sv)
     direct = float(np.sum(qv * log_ratio) - np.sum(rv * log_ratio))
     return via_divergences, direct

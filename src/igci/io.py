@@ -19,6 +19,7 @@ import io
 import json
 import math
 import os
+import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,10 +121,15 @@ def _parse_table(path: Path) -> np.ndarray:
     return _parse_lines(path, text)
 
 
-# Parsed tables are kept as column-major .npy files named by a hash of the
-# text they came from. Bump _TABLE_FORMAT whenever the parse rules or the
-# stored layout change, so that no entry kept under the old ones is read back.
-_TABLE_FORMAT = 2
+# Parsed tables are kept in files named by a hash of the text they came
+# from. An entry is the table's row and column counts, two little-endian
+# int64, then its values as little-endian float64, one column after another,
+# so it reads as the same numbers on any machine. Bump _TABLE_FORMAT
+# whenever the parse rules or the stored layout change, so that no entry
+# kept under the old ones is read back.
+_TABLE_FORMAT = 3
+_SHAPE = struct.Struct("<2q")
+_VALUES = np.dtype("<f8")
 _TABLE_CACHE_BYTES = 512 << 20  # past this, the least recently used entries go
 # A file is hashed and kept only from its second read on, so a file read once
 # pays for no hash and no copy. Its first read writes an 8-byte fingerprint of
@@ -182,46 +188,36 @@ def _table_entry(cache: Path, path: Path) -> Optional[Path]:
                 digest.update(block)
     except OSError:
         return None
-    return cache / f"{digest.hexdigest()}.npy"
+    return cache / f"{digest.hexdigest()}.table"
 
 
 def _open_kept(entry: Path) -> Optional[tuple]:
-    """(handle, shape, offset): entry opened at its first value, the shape of
-    the table kept there and the offset of that value. None, and nothing left
-    open, unless entry holds a non-empty column-major 2-D float64 array that
-    fills the rest of the file. A usable entry is marked as used."""
+    """(handle, rows, columns): entry opened and the shape of the table kept
+    there. None, and nothing left open, unless both counts are positive and
+    the values fill the rest of the file. A usable entry is marked as used."""
     try:
         handle = entry.open("rb")
     except OSError:
         return None
     try:
-        if np.lib.format.read_magic(handle) == (1, 0):  # the version _store_table writes
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
-            offset = handle.tell()
-            if (
-                len(shape) == 2 and fortran_order and dtype == np.float64
-                and 0 < 8 * math.prod(shape) == os.fstat(handle.fileno()).st_size - offset
-            ):
-                with contextlib.suppress(OSError):
-                    os.utime(entry)
-                return handle, shape, offset
-    except (OSError, ValueError):  # numpy reports a short or malformed header as a ValueError
+        rows, cols = _SHAPE.unpack(handle.read(_SHAPE.size))
+        if rows > 0 and cols > 0 and _SHAPE.size + 8 * rows * cols == os.fstat(handle.fileno()).st_size:
+            with contextlib.suppress(OSError):
+                os.utime(entry)
+            return handle, rows, cols
+    except (OSError, struct.error):  # struct.error: too short to hold the counts
         pass
     handle.close()
     return None
 
 
-def _cached_table(entry: Path) -> Optional[np.ndarray]:
-    """The table kept in entry, or None when there is no usable one."""
-    kept = _open_kept(entry)
-    if kept is None:
-        return None
-    handle, shape, _ = kept
-    with handle:
-        try:
-            return np.fromfile(handle, np.float64, math.prod(shape)).reshape(shape, order="F")
-        except (OSError, ValueError):  # a read cut short cannot take the shape
-            return None
+def _kept_columns(kept: tuple, first: int, count: int) -> np.ndarray:
+    """count columns of the table _open_kept opened, from column first on,
+    read into a fresh column-major array. ValueError when the read is cut
+    short: fewer values cannot take the shape."""
+    handle, rows, _ = kept
+    handle.seek(_SHAPE.size + 8 * rows * first)
+    return np.fromfile(handle, _VALUES, rows * count).reshape((rows, count), order="F")
 
 
 def _store_table(entry: Path, path: Path, table: np.ndarray) -> None:
@@ -243,12 +239,9 @@ def _store_table(entry: Path, path: Path, table: np.ndarray) -> None:
     try:
         try:
             with tmp.open("wb") as handle:
-                descr = np.lib.format.dtype_to_descr(table.dtype)
-                np.lib.format.write_array_header_1_0(
-                    handle, {"descr": descr, "fortran_order": True, "shape": table.shape}
-                )
+                handle.write(_SHAPE.pack(*table.shape))
                 for column in table.T:
-                    handle.write(column.tobytes())
+                    handle.write(column.astype(_VALUES, copy=False).tobytes())
                 size = handle.tell()
             os.replace(tmp, entry)
         finally:
@@ -272,22 +265,31 @@ def _store_table(entry: Path, path: Path, table: np.ndarray) -> None:
         return
 
 
-def _kept_entry(path: Path) -> Optional[Path]:
-    """The cache entry named by the hash of path's bytes, from the file's
-    second read on; None on a first read or when there is no cache. Look it
-    up once per read: a first read notes the file, so a second lookup in the
-    same read would take it for a second read and keep its table."""
+@contextlib.contextmanager
+def _looked_up(path: Path):
+    """(entry, kept): the cache entry named by the hash of path's bytes, from
+    the file's second read on, and that entry as _open_kept opened it; None
+    for each that is missing or unusable. The entry is closed on exit. Enter
+    this once per read: a first read notes the file, so a second lookup in
+    the same read would take it for a second read and keep its table."""
     cache = _table_cache(path)
-    return _table_entry(cache, path) if cache else None
+    entry = _table_entry(cache, path) if cache else None
+    kept = _open_kept(entry) if entry else None
+    try:
+        yield entry, kept
+    finally:
+        if kept:
+            kept[0].close()
 
 
-def _read_table(path: Path, entry: Optional[Path]) -> np.ndarray:
-    """load_table's table, with path's cache entry already looked up."""
-    table = _cached_table(entry) if entry else None
-    if table is None:
-        table = _parse_table(path)
-        if entry:
-            _store_table(entry, path, table)
+def _read_table(path: Path, entry: Optional[Path], kept: Optional[tuple]) -> np.ndarray:
+    """load_table's table, with path's cache entry already looked up and opened."""
+    if kept:
+        with contextlib.suppress(OSError, ValueError):  # a read cut short: parse instead
+            return _kept_columns(kept, 0, kept[2])
+    table = _parse_table(path)
+    if entry:
+        _store_table(entry, path, table)
     return table
 
 
@@ -309,20 +311,21 @@ def load_table(path) -> np.ndarray:
     A regular file read before, with the same size and mtime, goes through
     a cache under $XDG_CACHE_HOME/igci/tables (~/.cache/igci/tables when
     that is unset or relative): its bytes are hashed (SHA-256), and the
-    table kept under that hash as a column-major .npy file is loaded, or the
-    file is parsed and its table kept. A first read only notes the file's
-    device, inode, size and mtime in one slot of the fixed-size file `seen`
-    there. Copies stay after their source is edited or deleted; once they
-    pass 512 MiB the least recently used go. A file that fails to parse
-    leaves no entry, and a cache that cannot be read or written is passed
-    over silently: nothing needs it, deleting it is always safe, and
-    XDG_CACHE_HOME=/dev/null turns it off.
+    table kept under that hash (its row and column counts, then its values
+    column by column) is read, or the file is parsed and its table kept. A
+    first read only notes the file's device, inode, size and mtime in one
+    slot of the fixed-size file `seen` there. Copies stay after their
+    source is edited or deleted; once they pass 512 MiB the least recently
+    used go. A file that fails to parse leaves no entry, and a cache that
+    cannot be read or written is passed over silently: nothing needs it,
+    deleting it is always safe, and XDG_CACHE_HOME=/dev/null turns it off.
 
     The returned array is the caller's own: np.loadtxt's row-major table
     when the text was parsed, the kept column-major one when it was loaded.
     """
     path = Path(path)
-    return _read_table(path, _kept_entry(path))
+    with _looked_up(path) as (entry, kept):
+        return _read_table(path, entry, kept)
 
 
 def _check_columns(path, ncols: int, cols: Sequence[int]) -> None:
@@ -353,13 +356,6 @@ def load_pair(path, x_col: int = 0, y_col: int = 1) -> SamplePair:
     return SamplePair(*_pair_sides(path, x_col, y_col))
 
 
-def _kept_column(kept: tuple, col: int) -> np.ndarray:
-    """Column col of the table _open_kept opened, read from its offset into a fresh array."""
-    handle, (rows, _), offset = kept
-    handle.seek(offset + 8 * rows * col)
-    return np.fromfile(handle, np.float64, rows)
-
-
 def _pair_sides(path, x_col: int, y_col: int):
     """x's sample, then y's: the one reader of a pair's two columns, behind
     load_pair and `igci infer`, which scores them in place. Each is the
@@ -367,22 +363,20 @@ def _pair_sides(path, x_col: int, y_col: int):
     name one column), so the scoring may overwrite it. The warning points at
     load_pair's caller.
 
-    From a file's third read on, the kept entry's header is read once and
-    each column is read from its offset when it is asked for: y's, to check
-    that it is finite, then x's, then y's again. So a caller that drops x
-    before it asks for y holds one column at a time. On a first or second
-    read, or when the entry cannot be used, the columns are views of the
-    parsed table. Dropping rows with a non-finite value copies both columns.
+    From a file's third read on, the kept entry is opened once and each
+    column is read from it when it is asked for: y's, to check that it is
+    finite, then x's, then y's again. So a caller that drops x before it
+    asks for y holds one column at a time. On a first or second read, or
+    when the entry cannot be used, the columns are views of the parsed
+    table. Dropping rows with a non-finite value copies both columns.
     """
     path = Path(path)
-    entry = _kept_entry(path)
-    kept = _open_kept(entry) if entry else None
-    if kept is None:
-        table = _read_table(path, entry)
-        ncols, column = table.shape[1], lambda col: table[:, col]
-    else:
-        ncols, column = kept[1][1], lambda col: _kept_column(kept, col)
-    with kept[0] if kept else contextlib.nullcontext():
+    with _looked_up(path) as (entry, kept):
+        if kept:
+            ncols, column = kept[2], lambda col: _kept_columns(kept, col, 1)[:, 0]
+        else:
+            table = _read_table(path, entry, None)
+            ncols, column = table.shape[1], lambda col: table[:, col]
         _check_columns(path, ncols, (x_col, y_col))
         finite = np.isfinite(column(y_col)).all()
         x, y = column(x_col), None

@@ -224,7 +224,7 @@ def test_infer_stdout_is_the_same_on_a_first_read_and_a_re_read(capsys, tmp_path
              "tsv": ["--format", "tsv"]}.get(case, [])
     runs = [run_cli(capsys, *argv) for _ in range(3)]
     assert runs[0][0] == EXIT_OK and runs[1] == runs[0] and runs[2] == runs[0]
-    assert len(list(Path(os.environ["XDG_CACHE_HOME"], "igci", "tables").glob("*.npy"))) == 1
+    assert len(list(Path(os.environ["XDG_CACHE_HOME"], "igci", "tables").glob("*.table"))) == 1
     if case != "tsv":
         (record,) = json_records(runs[0][1])
         assert record["m_used"] == (2999 if case.startswith("dropped") else 3000)
@@ -528,7 +528,7 @@ def test_pairs_stdout_is_the_same_on_a_first_read_and_a_re_read(capsys, tmp_path
     runs = [run_cli(capsys, *argv) for _ in range(3)]
     assert runs[0][0] == EXIT_OK and runs[1] == runs[0] and runs[2] == runs[0]
     assert runs[0][2].count("dropped 1 rows with non-finite values") == 3
-    assert len(list(Path(os.environ["XDG_CACHE_HOME"], "igci", "tables").glob("*.npy"))) == 5
+    assert len(list(Path(os.environ["XDG_CACHE_HOME"], "igci", "tables").glob("*.table"))) == 5
     if fmt == "json":
         _, *reports, _ = json_records(runs[0][1])
         assert [r["m_used"] for r in reports] == [3000, 2999, 2999, 3000, 3000, None, None]

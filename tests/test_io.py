@@ -2,6 +2,7 @@ import gzip
 import json
 import math
 import os
+import struct
 import threading
 import warnings
 from pathlib import Path
@@ -306,19 +307,32 @@ def test_load_table_same_size_rewrite_with_its_old_mtime_is_a_miss(tmp_path):
     assert len(_cache_files()) == 2
 
 
-_DAMAGES = ["truncated", "empty", "float32", "int64", "1-d", "row-major", "object"]
+_DAMAGES = [
+    "truncated", "empty", "float32", "int64", "1-d", "row-major", "object",
+    "header only", "more values claimed", "zero columns", "negative rows",
+]
 
 
 def _damage(entry: Path, table: np.ndarray, damage: str) -> None:
-    if damage == "truncated":
-        entry.write_bytes(entry.read_bytes()[:-5])
-    elif damage == "empty":
-        entry.write_bytes(b"")
-    elif damage == "object":
-        np.save(entry, np.array([[1.0, None]], dtype=object), allow_pickle=True)
-    else:
-        np.save(entry, {"float32": table.astype(np.float32), "int64": table.astype(np.int64),
-                        "1-d": table.ravel(), "row-major": np.ascontiguousarray(table)}[damage])
+    """Replace entry with a foreign or a short file. It is written through an
+    open handle: np.save, given a path, would append .npy to the name."""
+    rows, cols = table.shape
+    # Negative rows come with negative columns, so the values fill the file and only the sign is wrong.
+    counts = {"header only": (rows, cols), "more values claimed": (rows + 1, cols), "zero columns": (rows, 0),
+              "negative rows": (-rows, -cols)}
+    kept = entry.read_bytes()
+    with entry.open("wb") as handle:
+        if damage == "truncated":
+            handle.write(kept[:-5])
+        elif damage in ("header only", "zero columns"):
+            handle.write(struct.pack("<2q", *counts[damage]))
+        elif damage in counts:
+            handle.write(struct.pack("<2q", *counts[damage]) + kept[16:])
+        elif damage == "object":
+            np.save(handle, np.array([[1.0, None]], dtype=object), allow_pickle=True)
+        elif damage != "empty":
+            np.save(handle, {"float32": table.astype(np.float32), "int64": table.astype(np.int64),
+                             "1-d": table.ravel(), "row-major": np.ascontiguousarray(table)}[damage])
 
 
 @pytest.mark.parametrize("damage", _DAMAGES)
@@ -332,7 +346,29 @@ def test_load_table_replaces_a_bad_cache_entry(tmp_path, monkeypatch, damage):
     monkeypatch.setattr(igci.io, "_parse_table", lambda p: parsed.append(p) or _parse_table(p))
     assert load_table(path).tobytes() == expected.tobytes()
     assert parsed == [path]
-    assert np.load(entry, allow_pickle=False).tobytes() == expected.tobytes()  # overwritten
+    kept = entry.read_bytes()  # overwritten: the counts, then the values column by column
+    assert struct.unpack("<2q", kept[:16]) == (3, 2) and kept[16:] == expected.astype("<f8").tobytes(order="F")
+
+
+def test_a_read_looks_its_entry_up_once_and_opens_it_once(tmp_path, monkeypatch):
+    # A first read notes the file, so a second lookup in one read would keep its table
+    # early; an entry that cannot be used is opened once, not once more to load it.
+    path = tmp_path / "t.tsv"
+    path.write_text("1 2\n3 5\n4 0\n")
+    looked, opened = [], []
+    table_cache, open_kept = igci.io._table_cache, igci.io._open_kept
+    monkeypatch.setattr(igci.io, "_table_cache", lambda p: looked.append(p) or table_cache(p))
+    monkeypatch.setattr(igci.io, "_open_kept", lambda entry: opened.append(entry) or open_kept(entry))
+    reads = [lambda: load_table(path), lambda: load_pair(path), lambda: main(["infer", str(path)])]
+    for attempt, read in enumerate(reads * 2):  # a first read, a second, then hits
+        looked.clear()
+        opened.clear()
+        read()
+        assert looked == [path] and opened == ([] if attempt == 0 else [_entry(path)]), attempt
+    _damage(_entry(path), load_table(path), "truncated")
+    opened.clear()
+    assert load_pair(path).x.tolist() == [1.0, 3.0, 4.0]
+    assert opened == [_entry(path)]
 
 
 def test_pair_sides_reads_the_kept_columns_one_at_a_time(tmp_path, monkeypatch):
@@ -341,16 +377,17 @@ def test_pair_sides_reads_the_kept_columns_one_at_a_time(tmp_path, monkeypatch):
     np.savetxt(path, rows, fmt="%.17g")
     _keep(path)
     read = []
-    kept_column = igci.io._kept_column
-    monkeypatch.setattr(igci.io, "_kept_column", lambda kept, col: read.append(col) or kept_column(kept, col))
-    monkeypatch.setattr(igci.io, "_cached_table", _refuse)
+    kept_columns = igci.io._kept_columns
+    monkeypatch.setattr(
+        igci.io, "_kept_columns", lambda kept, first, count: read.append((first, count)) or kept_columns(kept, first, count)
+    )
     monkeypatch.setattr(igci.io, "_parse_lines", _refuse)
     monkeypatch.setattr(np, "loadtxt", _refuse)
     sides = _pair_sides(path, 2, 0)
     x = next(sides)
-    assert read == [0, 2] and x.tobytes() == rows[:, 2].tobytes()  # y is checked before x is handed out
+    assert read == [(0, 1), (2, 1)] and x.tobytes() == rows[:, 2].tobytes()  # y is checked before x is handed out
     del x
-    assert next(sides).tobytes() == rows[:, 0].tobytes() and read == [0, 2, 0]
+    assert next(sides).tobytes() == rows[:, 0].tobytes() and read == [(0, 1), (2, 1), (0, 1)]
     assert next(sides, None) is None
 
 

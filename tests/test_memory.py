@@ -18,7 +18,6 @@ from igci import (
     SamplePair,
     align_lag,
     apply_mechanism,
-    discrete_kl,
     estimate_fisher_information,
     igci_score,
     infer_linear_direction,
@@ -34,6 +33,7 @@ from igci import (
     write_pair,
 )
 from igci.cli import main
+from igci.core import _discrete_kl
 from igci.estimators import _score_stack
 from igci.simulation import substream
 from igci.trace import _infer_in_place
@@ -92,7 +92,7 @@ _CALLS = {
     "trace_gap": lambda v: trace_gap(v["a"], v["sigma"]),
     "estimate_fisher_information": lambda v: estimate_fisher_information(v["x"]),
     "verify_noise_bound": lambda v: verify_noise_bound(v["x"]),
-    "discrete_kl": lambda v: discrete_kl(v["p"], v["q"]),
+    "discrete_kl": lambda v: _discrete_kl(v["p"], v["q"]),
     "kl_additivity_gap": lambda v: kl_additivity_gap(v["p"], v["q"], v["r"]),
 }
 

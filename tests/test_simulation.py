@@ -31,7 +31,6 @@ from igci import (
     SamplePair,
     align_lag,
     apply_mechanism,
-    discrete_kl,
     estimate_fisher_information,
     igci_score,
     infer_linear_direction,
@@ -51,6 +50,7 @@ from igci import (
 import igci._fanout
 import igci.simulation as sim
 from igci.cli import main
+from igci.core import _discrete_kl
 
 GAUSSIAN_ENTROPY = 1.4189385332046727
 
@@ -570,7 +570,7 @@ def test_finite_inputs_at_any_scale_give_a_finite_result_or_a_data_error(values,
         (align_lag, x, y, 1),
         (_linear_direction, np.column_stack([x, y]), np.column_stack([x + y, x - y])),
         (trace_gap, scale_x * np.array([[1.0, 0.5], [0.25, 2.0]]), scale_y * np.array([[2.0, 0.3], [0.3, 1.0]])),
-        (discrete_kl, p, q),
+        (_discrete_kl, p, q),
         (kl_additivity_gap, p, q, p[::-1]),
     ]
     for reference in ReferenceFamily:

@@ -160,19 +160,21 @@ def test_substream_is_the_only_function_that_builds_a_seed_sequence_or_philox():
 def test_text_becomes_a_table_only_in_io():
     # One module decides what a file's text means, and the cache it keeps is read and written
     # beside that decision, so a parse rule and the cache format cannot drift apart. An entry's
-    # header is checked in one place, and its values are read only by the whole-table and the
-    # column-at-a-time readers.
+    # counts are written in one place and checked in one, its values are read by one reader,
+    # and no numpy file format stands in for the layout.
     callers = {}
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = f"{owner.split('.')[0]}.{node.name}"
-        if isinstance(node, ast.Attribute) and ast.unparse(node) in (
-            "np.loadtxt", "np.load", "np.save", "np.fromfile", "np.memmap", "np.lib.format.read_magic",
-            "np.lib.format.read_array_header_1_0", "np.lib.format.read_array_header_2_0",
-            "np.lib.format.write_array_header_1_0",
-        ):
-            callers.setdefault(node.attr, set()).add(owner)
+        if isinstance(node, ast.Attribute):
+            name = ast.unparse(node)
+            if name in ("np.loadtxt", "np.load", "np.save", "np.fromfile", "np.memmap"):
+                callers.setdefault(node.attr, set()).add(owner)
+            elif name.startswith(("np.lib.format", "numpy.lib.format")) or node.attr in ("pack", "unpack"):
+                callers.setdefault(name, set()).add(owner)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.lib"):
+            callers.setdefault(node.module, set()).add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
@@ -180,10 +182,9 @@ def test_text_becomes_a_table_only_in_io():
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
     assert callers == {
         "loadtxt": {"io._parse_table"},
-        "read_magic": {"io._open_kept"},
-        "read_array_header_1_0": {"io._open_kept"},
-        "fromfile": {"io._cached_table", "io._kept_column"},
-        "write_array_header_1_0": {"io._store_table"},
+        "fromfile": {"io._kept_columns"},
+        "_SHAPE.pack": {"io._store_table"},
+        "_SHAPE.unpack": {"io._open_kept"},
     }
 
 
